@@ -6,15 +6,9 @@ from .algebra import (
     AlgebraContext,
     ContextMismatch,
     Element,
-    adjoint,
-    add,
-    equals,
     gauge_expectation,
     membership,
-    mul,
-    normalize,
     phi_preimage,
-    scalar_mul,
     word_degree,
     word_mul,
 )
@@ -27,6 +21,7 @@ from .decide import (
     IncompleteEdgeRule,
     OverlapGraph,
     Psi1NotConstant,
+    RouteDisagreement,
     build_overlap_graph,
     cocycle_run,
     decide_preserves,

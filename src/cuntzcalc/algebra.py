@@ -316,37 +316,11 @@ class Element:
         return f"<Element n={self.n} {render(self)}>"
 
 
-def normalize(x):
-    """Rebuild the canonical form (a no-op on stored Elements)."""
-    return Element(x.n, list(x.terms.items()))
-
-
-def equals(x, y):
-    x._require_same(y)
-    return x == y
-
-
-def add(x, y):
-    return x + y
-
-
-def mul(x, y):
-    return x * y
-
-
-def adjoint(x):
-    return x.adjoint()
-
-
-def scalar_mul(q, x, gpow=0):
-    return x.scale(q, gpow)
-
-
 # ---------------------------------------------------------------------------
-# Internal shift and its left inverse; the public API lives in endo.py but
-# membership tests below need both.
+# The canonical inner shift and its left inverse
 
-def _shift(x):
+def shift(x):
+    """The canonical inner shift: x -> sum_i S_i x S_i*."""
     raw = {}
     for (a, b), c in x.terms.items():
         for i in range(1, x.n + 1):
@@ -354,7 +328,8 @@ def _shift(x):
     return Element(x.n, raw)
 
 
-def _unshift(x):
+def left_inverse(x):
+    """x -> (1/n) sum_i S_i* x S_i; undoes shift."""
     inv = Fraction(1, x.n)
     raw = []
     for t, c in x.terms.items():
@@ -372,17 +347,20 @@ def _unshift(x):
 # ---------------------------------------------------------------------------
 # Subalgebra membership
 
-def phi_preimage(x, k):
-    """Preimage under the k-fold shift if x lies in its range, else None."""
+def phi_preimage(x, k=1):
+    """Preimage under the k-fold shift if x lies in its range, else None.
+
+    One level at a time: x is in the range of shift iff shift undoes
+    left_inverse on it, and the test stops at the first level that fails.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    y = x
     for _ in range(k):
-        y = _unshift(y)
-    z = y
-    for _ in range(k):
-        z = _shift(z)
-    return y if z == x else None
+        y = left_inverse(x)
+        if shift(y) != x:
+            return None
+        x = y
+    return x
 
 
 def membership(x, target, k=None):

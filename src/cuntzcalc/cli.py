@@ -7,6 +7,7 @@ for identical invocations (including --seed).
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -301,8 +302,9 @@ def _cmd_search(args):
             rng.shuffle(p)
             perms.append(tuple(p))
     payloads = [(i, n, args.k, perm, level) for i, perm in enumerate(perms)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_search_one, payloads, chunksize=64))
     else:
         results = [_search_one(p) for p in payloads]
@@ -385,7 +387,7 @@ def build_parser():
     p.add_argument("--samples", type=int, help="sample count (required for k > 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=int, help="intertwiner space level (default 2)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most the CPU count)")
     return parser
 
 

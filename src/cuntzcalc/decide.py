@@ -2,8 +2,11 @@
 
 Three routes:
 
-  direct   apply the endomorphism to every matrix unit up to a depth and
-           test degree purity; refutes but never certifies.
+  direct   exact level-by-level test of w_k* gauge(w_k) against the range of
+           phi^k: the endomorphism maps every level-k matrix unit into the
+           core iff q_k = w_k* gauge(w_k) commutes with all of them, i.e. q_k
+           lies in their relative commutant phi^k(O_n).  Refutes or stays
+           undecided.
 
   cocycle  run the gauge-cocycle recursion
                zt_1 = phihat(w* gauge(w)),  zt_{k+1} = phihat(w* zt_k gauge(w)),
@@ -20,21 +23,25 @@ Three routes:
 """
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import Element, membership, word_degree
+from .algebra import Element, membership, phi_preimage
 from .endo import (
     NotSumOfWords,
     gauge,
     is_unitary,
     left_inverse,
-    shift,
     sum_of_words_profile,
     u_tower,
 )
+from .exprio import render
 
 PRESERVES = "PRESERVES"
 NOT_PRESERVES = "NOT_PRESERVES"
 UNDECIDED = "UNDECIDED"
+
+# Highest level at which a refutation computes its witness matrix unit.
+WITNESS_CAP = 14
 
 
 class DegreeOutOfRange(ValueError):
@@ -43,6 +50,15 @@ class DegreeOutOfRange(ValueError):
 
 class IncompleteEdgeRule(ValueError):
     """Some pair admits no successor; the edge rule cannot close."""
+
+
+class RouteDisagreement(RuntimeError):
+    """Two decision routes gave incompatible verdicts; carries both reports."""
+
+    def __init__(self, message, report, probe):
+        super().__init__(message)
+        self.report = report
+        self.probe = probe
 
 
 class Psi1NotConstant(Exception):
@@ -207,7 +223,6 @@ class DecisionReport:
     certificate: dict = None
 
     def to_json_obj(self):
-        from .exprio import render
         return {
             "verdict": self.verdict,
             "method": self.method,
@@ -218,32 +233,73 @@ class DecisionReport:
         }
 
 
-def _level_units(n, k):
-    from itertools import product
-    idx = sorted(product(range(1, n + 1), repeat=k))
-    for a in idx:
-        for b in idx:
-            yield a, b
+def _level_blocks(q, k):
+    """The nonzero blocks S_a* q S_b of q over level-k words a, b.
+
+    A block is a term dict.  Every term of degree d is first expanded to
+    one beta-length per degree (at least k on both sides), so two blocks
+    are equal exactly when their dicts are.  The canonical form of q has
+    one beta-length per degree already, so no two terms ever merge.
+    """
+    level = {}
+    for a, b in q.terms:
+        d = len(a) - len(b)
+        level[d] = max(level.get(d, k), k - d, len(b))
+    blocks = {}
+    for (al, be), c in q.terms.items():
+        for rho in product(range(1, q.n + 1), repeat=level[len(al) - len(be)] - len(be)):
+            a, b = al + rho, be + rho
+            blocks.setdefault((a[:k], b[:k]), {})[(a[k:], b[k:])] = c
+    return blocks
+
+
+def matrix_unit_witness(w, k, _towers=None):
+    """The least level-k matrix unit whose image leaves the core, or None.
+
+    The image of S_a S_b* stays in the core iff it commutes with
+    q = w_k* gauge(w_k).  With blocks X_cd = S_c* q S_d that fails iff
+    column a or row b has a nonzero off-diagonal block, or X_aa != X_bb;
+    so level k is preserved iff q = phi^k(X_{1..1,1..1}), and otherwise
+    the lexicographically least failing unit is S_{1..1} S_b*.  w must be
+    unitary.  None also above WITNESS_CAP, where no witness is computed.
+    """
+    if k > WITNESS_CAP:
+        return None
+    n = w.n
+    wk = u_tower(w, k, _towers or [Element.identity(n), w])
+    blocks = _level_blocks(wk.adjoint() * gauge(wk), k)
+    one = (1,) * k
+    ref = blocks.get((one, one), {})
+    if any(b == one != a for a, b in blocks):
+        return Element(n, {(one, one): {0: 1}})
+    # q is unitary, so no row of blocks is zero: a zero diagonal block
+    # always comes with a nonzero off-diagonal one in its row
+    rows = {a for (a, b), x in blocks.items() if a != b or x != ref}
+    if not rows:
+        return None
+    return Element(n, {(one, min(rows)): {0: 1}})
 
 
 def direct_check(w, depth):
-    """Refutation by matrix-unit enumeration; UNDECIDED when clean."""
+    """Exact level-by-level refutation up to depth; UNDECIDED when clean.
+
+    Levels above WITNESS_CAP are not tested; the note says so.
+    """
     if not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
     towers = [Element.identity(w.n), w]
-    for k in range(1, depth + 1):
-        wk = u_tower(w, k, towers)
-        wks = wk.adjoint()
-        for a, b in _level_units(w.n, k):
-            x = Element(w.n, {(a, b): {0: 1}})
-            image = wk * x * wks
-            if not membership(image, "F"):
-                from .exprio import render
-                return DecisionReport(
-                    NOT_PRESERVES, "direct", depth=k, failing_level=k, witness=x,
-                    certificate={"image": render(image)})
-    return DecisionReport(UNDECIDED, "direct", depth=depth,
-                          certificate={"note": f"no violation up to level {depth}"})
+    tested = min(depth, WITNESS_CAP)
+    for k in range(1, tested + 1):
+        x = matrix_unit_witness(w, k, towers)
+        if x is not None:
+            wk = u_tower(w, k, towers)
+            return DecisionReport(
+                NOT_PRESERVES, "direct", depth=k, failing_level=k, witness=x,
+                certificate={"image": render(wk * x * wk.adjoint())})
+    note = f"no violation up to level {tested}"
+    if tested < depth:
+        note += f"; levels above the witness cap {WITNESS_CAP} are not tested"
+    return DecisionReport(UNDECIDED, "direct", depth=tested, certificate={"note": note})
 
 
 def monomial_defect(z):
@@ -269,87 +325,54 @@ def monomial_defect(z):
     return None
 
 
+def _with_defect(cert, z):
+    """cert plus the first defect block of z and its coefficient, if any."""
+    defect = monomial_defect(z)
+    if defect is not None:
+        block, coeff = defect
+        cert["defect_block"] = _fmt_tail(block)
+        cert["defect_coefficient"] = render(Element(z.n, {((), ()): dict(coeff)}, _normal=True))
+    return cert
+
+
+def _refutation(method, w, k, cert):
+    """NOT_PRESERVES at level k, with the level-k witness when it is computed."""
+    witness = matrix_unit_witness(w, k)
+    if witness is None:
+        cert["witness_note"] = (
+            f"level {k} is above the witness cap {WITNESS_CAP}; no witness computed")
+    return DecisionReport(NOT_PRESERVES, method, depth=k, failing_level=k,
+                          witness=witness, certificate=cert)
+
+
 def cocycle_run(w, depth):
     """Gauge-cocycle recursion; (cocycles, report).
 
-    Tracks both the accumulated states zt_k of the defining recursion and
-    the single-step quotients z_k = zt_k zt_{k-1}*; a repetition in either
-    stream certifies PRESERVES (the recursions are deterministic and every
-    revisited state has already been validated).
+    A repeated state zt_k certifies PRESERVES: the recursion is
+    deterministic and every revisited state has already been validated.
     """
     if not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
-    from .exprio import render, to_json
     ws = w.adjoint()
     gw = gauge(w)
-    ident = Element.identity(w.n)
-    zt_prev = ident
+    zt = Element.identity(w.n)
     cocycles = []
-    seen_tilde = {to_json(ident): 0}
-    seen_plain = {}
+    seen = {zt: 0}
     for k in range(1, depth + 1):
-        y = ws * zt_prev * gw
-        z = left_inverse(y)
-        if shift(z) != y:
-            defect = monomial_defect(z)
-            cert = {"cocycle": render(z)}
-            if defect is not None:
-                block, coeff = defect
-                cert["defect_block"] = _fmt_tail(block)
-                cert["defect_coefficient"] = render(
-                    Element(w.n, {((), ()): dict(coeff)}, _normal=True))
-            witness = matrix_unit_witness(w, k)
-            return cocycles, DecisionReport(
-                NOT_PRESERVES, "cocycle", depth=k, failing_level=k,
-                witness=witness, certificate=cert)
-        cocycles.append(z)
-        z_plain = z * zt_prev.adjoint() if k > 1 else z
-        zt_prev = z
-        key_t = to_json(z)
-        key_p = to_json(z_plain)
-        if key_t in seen_tilde:
-            cert = {"cycle_stream": "accumulated", "cycle_start": seen_tilde[key_t],
-                    "period": k - seen_tilde[key_t]}
+        y = ws * zt * gw
+        zt = phi_preimage(y)
+        if zt is None:
+            z = left_inverse(y)  # the certificate shows the failed unshift
+            return cocycles, _refutation("cocycle", w, k, _with_defect({"cocycle": render(z)}, z))
+        cocycles.append(zt)
+        if zt in seen:
+            cert = {"cycle_stream": "accumulated", "cycle_start": seen[zt],
+                    "period": k - seen[zt]}
             return cocycles, DecisionReport(PRESERVES, "cocycle", depth=k, certificate=cert)
-        if key_p in seen_plain:
-            cert = {"cycle_stream": "stepwise", "cycle_start": seen_plain[key_p],
-                    "period": k - seen_plain[key_p]}
-            return cocycles, DecisionReport(PRESERVES, "cocycle", depth=k, certificate=cert)
-        seen_tilde[key_t] = k
-        seen_plain[key_p] = k
+        seen[zt] = k
     return cocycles, DecisionReport(
         UNDECIDED, "cocycle", depth=depth,
         certificate={"note": f"no failure and no state repetition within depth {depth}"})
-
-
-def matrix_unit_witness(w, k, cap=14):
-    """A level-k matrix unit whose image leaves the core, or None.
-
-    Uses q = w_k* gauge(w_k): the image of S_a S_b* stays in the core iff
-    q commutes with it, so two diagonal blocks of q with a common tail
-    after position k but different Laurent coefficients name a witness.
-    """
-    if k > cap:
-        return None
-    towers = [Element.identity(w.n), w]
-    wk = u_tower(w, k, towers)
-    q = wk.adjoint() * gauge(wk)
-    if not membership(q, "D"):
-        if w.n ** (2 * k) <= 4096:
-            report = direct_check(w, k)
-            return report.witness
-        return None
-    by_suffix = {}
-    for (a, _), c in sorted(q.terms.items()):
-        suffix = a[k:]
-        prefix = a[:k] if len(a) >= k else a + (1,) * (k - len(a))
-        by_suffix.setdefault(suffix, []).append((prefix, c))
-    for _, entries in sorted(by_suffix.items()):
-        p0, c0 = entries[0]
-        for p, c in entries[1:]:
-            if c != c0:
-                return Element(w.n, {(p0, p): {0: 1}})
-    return None
 
 
 def decide_preserves(w, method="auto", depth=16):
@@ -374,13 +397,12 @@ def decide_preserves(w, method="auto", depth=16):
     report = cocycle_run(w, depth)[1]
     probe = direct_check(w, min(depth, 3))
     if probe.verdict == NOT_PRESERVES:
-        if report.verdict == PRESERVES:
-            raise RuntimeError(
-                "internal disagreement: cocycle certified PRESERVES but a "
-                f"level-{probe.failing_level} matrix unit leaves the core")
         if report.verdict == UNDECIDED:
             return probe
-        assert report.failing_level <= probe.failing_level
+        if report.verdict == PRESERVES or report.failing_level > probe.failing_level:
+            raise RouteDisagreement(
+                f"cocycle route gives {report.verdict} at level {report.depth} but a "
+                f"level-{probe.failing_level} matrix unit leaves the core", report, probe)
     report.certificate = dict(report.certificate or {})
     report.certificate["cross_check"] = f"direct to level {min(depth, 3)}: {probe.verdict}"
     return report
@@ -393,16 +415,7 @@ def _graph_decision(w):
     except Psi1NotConstant as bad:
         z1 = left_inverse(w.adjoint() * gauge(w))
         cert = {"class": bad.class_name, "mixed_degrees": bad.values}
-        defect = monomial_defect(z1)
-        if defect is not None:
-            from .exprio import render
-            block, coeff = defect
-            cert["defect_block"] = _fmt_tail(block)
-            cert["defect_coefficient"] = render(
-                Element(w.n, {((), ()): dict(coeff)}, _normal=True))
-        return DecisionReport(
-            NOT_PRESERVES, "graph", depth=1, failing_level=1,
-            witness=matrix_unit_witness(w, 1), certificate=cert)
+        return _refutation("graph", w, 1, _with_defect(cert, z1))
     ok, cert = path_condition(graph)
     cert = dict(cert)
     cert["classes"] = {name: [_fmt_tail(b) for b in members]
@@ -411,10 +424,7 @@ def _graph_decision(w):
     cert["edges"] = [list(e) for e in graph.edges]
     if ok:
         return DecisionReport(PRESERVES, "graph", certificate=cert)
-    level = cert["bfs_depth"] + 1
-    return DecisionReport(
-        NOT_PRESERVES, "graph", depth=level, failing_level=level,
-        witness=matrix_unit_witness(w, level), certificate=cert)
+    return _refutation("graph", w, cert["bfs_depth"] + 1, cert)
 
 
 def export_dot(graph):

@@ -1,4 +1,6 @@
-"""Shift, gauge action, and the endomorphisms attached to unitaries.
+"""Gauge action, unitarity, and the endomorphisms attached to unitaries.
+
+The shift and its left inverse live in algebra and are re-exported here.
 
 Every unitary u determines a unital *-endomorphism mapping S_i to u S_i.
 On a word S_alpha S_beta* with |alpha| = k, |beta| = m it acts as
@@ -7,29 +9,12 @@ tower of shifted copies of u (u_0 = I).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .algebra import (
-    Element,
-    _is_unit_coeff,
-    _shift,
-    _unshift,
-    word_degree,
-)
+from .algebra import Element, _is_unit_coeff, left_inverse, shift, word_degree  # noqa: F401
 
 
 class NotSumOfWords(ValueError):
     """Element is not a coefficient-free double-partition sum of words."""
-
-
-def shift(x):
-    """The canonical inner shift: x -> sum_i S_i x S_i*."""
-    return _shift(x)
-
-
-def left_inverse(x):
-    """x -> (1/n) sum_i S_i* x S_i; undoes shift."""
-    return _unshift(x)
 
 
 def gauge(x, power=1):

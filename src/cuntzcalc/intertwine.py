@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, membership
+from .algebra import Element, membership, phi_preimage
 from .decide import NOT_PRESERVES, direct_check
 from .endo import (
     NotSumOfWords,
@@ -54,9 +54,8 @@ def agree_on_F(v, w, K):
     ws = w.adjoint()
     z = Element.identity(w.n)
     for k in range(1, K + 1):
-        y = ws * z * v
-        z = left_inverse(y)
-        if shift(z) != y:
+        z = phi_preimage(ws * z * v)
+        if z is None:
             return False, k
     return True, 0
 
@@ -278,9 +277,8 @@ def coboundary_witness(w):
         U = w
     else:
         U = _matched_core_unitary(w)
-    y = w.adjoint() * U
-    z = left_inverse(y)
-    if shift(z) != y:
+    z = phi_preimage(w.adjoint() * U)
+    if z is None:
         raise RuntimeError("internal: w* U is not in the shift's range")
     lhs = left_inverse(w.adjoint() * gauge(w))
     if lhs != z * gauge(z.adjoint()):

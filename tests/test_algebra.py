@@ -132,6 +132,10 @@ def test_phi_preimage_roundtrip():
     assert phi_preimage(shift(shift(x)), 2) == x
     assert phi_preimage(S1, 1) is None
     assert phi_preimage(I, 3) == I
+    # x is not a shift, so the second level of shift(x) fails
+    assert phi_preimage(x) is None
+    assert phi_preimage(shift(x), 2) is None
+    assert membership(shift(x), "phik", 2) is False
 
 
 def test_membership_basics():

@@ -97,6 +97,20 @@ def test_preserves_uhf_verdict_codes(capsys):
     assert "verdict: UNDECIDED" in out
 
 
+def test_preserves_uhf_direct_on_shifted_w0(capsys):
+    phi_w0 = "S11 S111* + S21 S211* + S121 S112* + S221 S212* + S122 S12* + S222 S22*"
+    code, out, _ = run(capsys, "preserves-uhf", "--w", phi_w0,
+                       "--method", "direct", "--depth", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "verdict: NOT_PRESERVES",
+        "method: direct",
+        "failing level: 2",
+        "witness: S11 S12*",
+        'certificate.image: "S11 S1221* + S121 S1222*"',
+    ]
+
+
 def test_preserves_uhf_json(capsys):
     code, out, _ = run(capsys, "preserves-uhf", "--json", "--w", W0)
     assert code == 1
@@ -208,6 +222,32 @@ def test_search_sampled_is_deterministic(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_search_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    import cuntzcalc.cli as cli
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial = run(capsys, "search", "--k", "1")
+    assert started == []
+    assert run(capsys, "search", "--k", "1", "--jobs", "1000") == serial
+    assert started == [2]
 
 
 def test_search_guardrails(capsys):

@@ -7,10 +7,12 @@ from cuntzcalc.decide import (
     NOT_PRESERVES,
     PRESERVES,
     UNDECIDED,
+    DecisionReport,
     DegreeOutOfRange,
     IncompleteEdgeRule,
     OverlapGraph,
     Psi1NotConstant,
+    RouteDisagreement,
     build_overlap_graph,
     cocycle_run,
     decide_preserves,
@@ -248,6 +250,32 @@ def test_permutation_unitaries_preserve():
         r = decide_preserves(u)
         assert r.verdict == PRESERVES
     assert decide_preserves(permutation_unitary(2, 1, [1, 0])).verdict == PRESERVES
+
+
+def test_route_disagreement_is_typed_and_carries_both_reports(monkeypatch):
+    import cuntzcalc.decide as decide
+
+    fake = DecisionReport(NOT_PRESERVES, "direct", depth=1, failing_level=1,
+                          witness=word((1,), (2,)), certificate={"image": "S1 S2*"})
+    monkeypatch.setattr(decide, "direct_check", lambda w, depth: fake)
+    with pytest.raises(RouteDisagreement) as info:
+        decide_preserves(ROT)  # off the graph route; the cocycle route certifies it
+    assert info.value.report.verdict == PRESERVES
+    assert info.value.report.method == "cocycle"
+    assert info.value.probe is fake
+
+
+def test_missing_witness_above_the_cap_is_reported(monkeypatch):
+    import cuntzcalc.decide as decide
+
+    monkeypatch.setattr(decide, "WITNESS_CAP", 1)
+    for method in ("graph", "cocycle"):
+        r = decide_preserves(PHI_W0, method=method, depth=6)
+        assert (r.verdict, r.failing_level, r.witness) == (NOT_PRESERVES, 2, None), method
+        assert "witness cap 1" in r.certificate["witness_note"], method
+    r = decide_preserves(PHI_W0, method="direct", depth=6)
+    assert (r.verdict, r.depth) == (UNDECIDED, 1)
+    assert "not tested" in r.certificate["note"]
 
 
 def test_direct_check_is_bounded():
