@@ -24,6 +24,17 @@ is applied while possible (all last letters matching and all n-term
 families complete with equal coefficients).  The result is the unique
 minimal uniform-level presentation per degree, so two Elements are equal
 in O_n exactly when their term dicts coincide.
+
+Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
+indices q, r is a prefix of the other; then it is S_{p t} S_s* if
+r = q t, and S_p S_{s t}* if q = r t.  So the product of two Elements
+never tries all pairs of terms.  It indexes the factor with fewer terms
+by its inner index, under that index and under every prefix of it; each
+inner index x of the other factor then finds the inner indices that
+extend x (one lookup under x) and those that are proper prefixes of x
+(one lookup per index length that occurs), i.e. exactly the surviving
+pairs.  Coefficient dicts may be shared between Elements and are never
+mutated in place.
 """
 
 from dataclasses import dataclass
@@ -56,6 +67,7 @@ def _ctx_n(ctx):
 # Laurent coefficients: dict {gpow: Fraction}, zero values never stored.
 
 ONE = Fraction(1)
+UNIT = {0: ONE}
 
 
 def _coeff(q=1, gpow=0):
@@ -75,6 +87,11 @@ def _cadd(a, b):
 
 
 def _cmul(a, b):
+    # the unit fast path shares the other dict; coefficients are never mutated
+    if a == UNIT:
+        return b
+    if b == UNIT:
+        return a
     out = {}
     for ma, qa in a.items():
         for mb, qb in b.items():
@@ -102,7 +119,7 @@ def _cshift(a, dm):
 
 
 def _is_unit_coeff(a):
-    return a == {0: ONE}
+    return a == UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +199,41 @@ def _contract_group(n, acc):
             return None
         out[parent] = ref
     return out
+
+
+def _product_terms(xs, ys):
+    """Raw surviving terms of xs * ys for term dicts xs, ys.
+
+    Indexes the smaller factor by inner index (see the module docstring);
+    indexing the larger one makes a small x large tower step slower.
+    """
+    right = len(ys) <= len(xs)
+    small, large = (ys, xs) if right else (xs, ys)
+    extends, exact, lengths = {}, {}, set()
+    for (a, b), c in small.items():
+        inner, outer = (a, b) if right else (b, a)
+        entry = (inner, outer, c)
+        for m in range(len(inner) + 1):
+            extends.setdefault(inner[:m], []).append(entry)
+        exact.setdefault(inner, []).append(entry)
+        lengths.add(len(inner))
+    lengths = sorted(lengths)
+    raw = []
+    for (a, b), c in large.items():
+        inner, outer = (b, a) if right else (a, b)
+        m = len(inner)
+        # indexed inner = inner + tail: the tail moves to this outer index
+        for i_inner, i_outer, ci in extends.get(inner, ()):
+            grown = outer + i_inner[m:]
+            raw.append(((grown, i_outer) if right else (i_outer, grown), _cmul(c, ci)))
+        # inner = indexed inner + tail: the tail moves to the indexed outer
+        for k in lengths:
+            if k >= m:
+                break
+            for _, i_outer, ci in exact.get(inner[:k], ()):
+                grown = i_outer + inner[k:]
+                raw.append(((outer, grown) if right else (grown, outer), _cmul(c, ci)))
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +328,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same(other)
-        raw = []
-        for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
-                t = word_mul(ta, tb)
-                if t is not None:
-                    raw.append((t, _cmul(ca, cb)))
-        return Element(self.n, raw)
+        return Element(self.n, _product_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

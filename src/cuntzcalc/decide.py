@@ -376,11 +376,15 @@ def cocycle_run(w, depth):
 
 
 def decide_preserves(w, method="auto", depth=16):
-    """DecisionReport for whether the endomorphism of w preserves the core."""
+    """DecisionReport for whether the endomorphism of w preserves the core.
+
+    A non-unitary w raises ValueError on every route: the direct and
+    cocycle routes check unitarity, and the graph route accepts only
+    sums of words whose alphas and betas are partitions of unity
+    (NotSumOfWords otherwise).
+    """
     if method not in ("auto", "graph", "cocycle", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    if not is_unitary(w):
-        raise ValueError("preservation decisions need a unitary input")
 
     if method == "direct":
         return direct_check(w, depth)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,65 @@ def test_word_mul_cases():
 def test_word_degree():
     assert word_degree(((1, 2), (1,))) == 1
     assert word_degree(((), ())) == 0
+
+
+# -- the product against an all-pairs oracle --------------------------------
+
+def all_pairs_product(x, y):
+    """x * y by trying every pair of words, as the definition reads."""
+    raw = []
+    for tx, cx in x.terms.items():
+        for ty, cy in y.terms.items():
+            t = word_mul(tx, ty)
+            if t is None:
+                continue
+            c = {}
+            for mx, qx in cx.items():
+                for my, qy in cy.items():
+                    c[mx + my] = c.get(mx + my, 0) + qx * qy
+            raw.append((t, {m: q for m, q in c.items() if q}))
+    return Element(x.n, raw)
+
+
+def random_element(rng, n, size):
+    """size words of lengths 0-4 with Laurent or unit coefficients."""
+    raw = []
+    for _ in range(size):
+        alpha = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+        beta = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.3:
+            c = {0: Fraction(1)}
+        else:
+            c = {rng.randint(-2, 2): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 2))}
+        raw.append(((alpha, beta), c))
+    return Element(n, raw)
+
+
+def test_product_matches_all_pairs_oracle():
+    rng = random.Random(11)
+    shapes = set()
+    for n in (2, 3, 4):
+        one, zero = Element.identity(n), Element.zero(n)
+        for _ in range(80):
+            x = random_element(rng, n, rng.randint(1, 9))
+            y = random_element(rng, n, rng.randint(1, 9))
+            shapes.add((len(x.terms) > len(y.terms)) - (len(x.terms) < len(y.terms)))
+            assert x * y == all_pairs_product(x, y)
+            assert x * x.adjoint() == all_pairs_product(x, x.adjoint())
+            assert x * one == one * x == x
+            assert (x * zero).is_zero() and (zero * x).is_zero()
+    assert shapes == {-1, 0, 1}
+
+
+def test_large_tower_product_is_unitary():
+    from cuntzcalc.endo import u_tower
+    from cuntzcalc.exprio import constant
+
+    w10 = u_tower(constant("w_cp"), 10)
+    assert len(w10.terms) == 8192
+    assert (w10.adjoint() * w10).is_identity()
+    assert (w10 * w10.adjoint()).is_identity()
 
 
 # -- canonical form ----------------------------------------------------------

@@ -23,7 +23,13 @@ from cuntzcalc.decide import (
     overlap_classes,
     path_condition,
 )
-from cuntzcalc.endo import IndexPairSet, lambda_apply, shift, sum_of_words_profile
+from cuntzcalc.endo import (
+    IndexPairSet,
+    NotSumOfWords,
+    lambda_apply,
+    shift,
+    sum_of_words_profile,
+)
 from cuntzcalc.exprio import W_CP_OVERLAP, render, resolve
 from cuntzcalc.sampling import (
     permutation_unitary,
@@ -250,6 +256,19 @@ def test_permutation_unitaries_preserve():
         r = decide_preserves(u)
         assert r.verdict == PRESERVES
     assert decide_preserves(permutation_unitary(2, 1, [1, 0])).verdict == PRESERVES
+
+
+NON_UNITARIES = ("S1", "1/2 I", "S1 S1* + S2 S1*", "3/5 S1 S1* + 4/5 S2 S2*")
+
+
+@pytest.mark.parametrize("method", ["auto", "direct", "cocycle", "graph"])
+@pytest.mark.parametrize("text", NON_UNITARIES)
+def test_non_unitary_input_raises_on_every_route(method, text):
+    with pytest.raises(ValueError) as info:
+        decide_preserves(resolve(text, 2), method=method)
+    if method == "graph":
+        # the graph route admits only partitions of unity, which are unitary
+        assert isinstance(info.value, NotSumOfWords)
 
 
 def test_route_disagreement_is_typed_and_carries_both_reports(monkeypatch):
