@@ -35,6 +35,19 @@ extend x (one lookup under x) and those that are proper prefixes of x
 (one lookup per index length that occurs), i.e. exactly the surviving
 pairs.  Coefficient dicts may be shared between Elements and are never
 mutated in place.
+
+Letters are checked once, where words enter from outside: the public
+constructor Element(n, raw), Element.word, and through them the parser
+and from_json.  Products, sums, shift and left_inverse build their terms
+from words of existing Elements and normalise them unchecked.
+
+Shift: prefixing one letter i to both indices of every term of a
+canonical x keeps one beta-length per degree, and no degree group of the
+result is contractible (the families are the prefixed families of x, and
+a term with one empty index gains the letter i on one side only).  So
+shift(x) is built already canonical.  The one exception is the scalar
+term ((), ()): its n images S_i S_i* contract back to I, so it is kept
+as it is.
 """
 
 from dataclasses import dataclass
@@ -239,6 +252,11 @@ def _product_terms(xs, ys):
 # ---------------------------------------------------------------------------
 # Elements
 
+def _canonical(n, raw):
+    """Element from raw terms whose words come from checked Elements."""
+    return Element(n, _normal_form(n, raw), _normal=True)
+
+
 class Element:
     """A finite Q[g,g^-1]-linear combination of words, kept canonical."""
 
@@ -314,12 +332,12 @@ class Element:
     def __add__(self, other):
         self._require_same(other)
         raw = list(self.terms.items()) + list(other.terms.items())
-        return Element(self.n, raw)
+        return _canonical(self.n, raw)
 
     def __sub__(self, other):
         self._require_same(other)
         raw = list(self.terms.items()) + [(t, _cneg(c)) for t, c in other.terms.items()]
-        return Element(self.n, raw)
+        return _canonical(self.n, raw)
 
     def __neg__(self):
         return Element(self.n, {t: _cneg(c) for t, c in self.terms.items()}, _normal=True)
@@ -328,7 +346,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same(other)
-        return Element(self.n, _product_terms(self.terms, other.terms))
+        return _canonical(self.n, _product_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -366,12 +384,20 @@ class Element:
 # The canonical inner shift and its left inverse
 
 def shift(x):
-    """The canonical inner shift: x -> sum_i S_i x S_i*."""
-    raw = {}
+    """The canonical inner shift: x -> sum_i S_i x S_i*.
+
+    Built already canonical (see the module docstring); the scalar term
+    stays as it is.
+    """
+    letters = [(i,) for i in range(1, x.n + 1)]
+    terms = {}
     for (a, b), c in x.terms.items():
-        for i in range(1, x.n + 1):
-            raw[((i,) + a, (i,) + b)] = dict(c)
-    return Element(x.n, raw)
+        if a or b:
+            for i in letters:
+                terms[(i + a, i + b)] = c
+        else:
+            terms[(a, b)] = c
+    return Element(x.n, terms, _normal=True)
 
 
 def left_inverse(x):
@@ -387,7 +413,7 @@ def left_inverse(x):
             if t2 is None:
                 continue
             raw.append((t2, {m: q * inv for m, q in c.items()}))
-    return Element(x.n, raw)
+    return _canonical(x.n, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -438,4 +464,4 @@ def gauge_expectation(x):
     for t, c in x.terms.items():
         if word_degree(t) == 0 and 0 in c:
             raw[t] = {0: c[0]}
-    return Element(x.n, raw)
+    return _canonical(x.n, raw.items())

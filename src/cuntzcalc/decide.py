@@ -30,6 +30,7 @@ from .endo import (
     NotSumOfWords,
     gauge,
     is_unitary,
+    lambda_apply,
     left_inverse,
     sum_of_words_profile,
     u_tower,
@@ -292,10 +293,9 @@ def direct_check(w, depth):
     for k in range(1, tested + 1):
         x = matrix_unit_witness(w, k, towers)
         if x is not None:
-            wk = u_tower(w, k, towers)
             return DecisionReport(
                 NOT_PRESERVES, "direct", depth=k, failing_level=k, witness=x,
-                certificate={"image": render(wk * x * wk.adjoint())})
+                certificate={"image": render(lambda_apply(w, x, check_unitary=False))})
     note = f"no violation up to level {tested}"
     if tested < depth:
         note += f"; levels above the witness cap {WITNESS_CAP} are not tested"

@@ -2,15 +2,19 @@
 
 The shift and its left inverse live in algebra and are re-exported here.
 
-Every unitary u determines a unital *-endomorphism mapping S_i to u S_i.
-On a word S_alpha S_beta* with |alpha| = k, |beta| = m it acts as
-u_k S_alpha S_beta* u_m* where u_k = u phi(u) ... phi^{k-1}(u) is the
-tower of shifted copies of u (u_0 = I).
+Every unitary u determines a unital *-endomorphism lambda mapping S_i to
+u S_i.  On a word it acts as lambda(S_a S_b*) = lambda(S_a) lambda(S_b)*,
+where lambda(S_a) = (u S_{a_1}) ... (u S_{a_k}) is evaluated from these
+factors, prefix by prefix.  The same image equals u_k S_a S_b* u_m* with
+the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I); the tower has about
+n^k terms and is built only for the level-k test
+(decide.matrix_unit_witness), which needs u_k itself.
 """
 
 from dataclasses import dataclass, field
 
-from .algebra import Element, _is_unit_coeff, left_inverse, shift, word_degree  # noqa: F401
+from .algebra import Element, _canonical, _cmul, _is_unit_coeff, _product_terms, word_degree
+from .algebra import left_inverse, shift  # noqa: F401
 
 
 class NotSumOfWords(ValueError):
@@ -170,17 +174,33 @@ def u_tower(u, k, _cache=None):
 
 
 def lambda_apply(u, x, check_unitary=True):
-    """Apply the endomorphism of u to x, term by term."""
+    """Apply the endomorphism of u to x.
+
+    Each term c S_a S_b* maps to c lambda(S_a) lambda(S_b)*, with
+    lambda(S_a) = lambda(S_{a[:-1]}) (u S_{a[-1]}) memoised by prefix;
+    the terms of all images are normalised once, at the end.
+    """
+    u._require_same(x)
     if check_unitary and not is_unitary(u):
         raise ValueError("endomorphisms are attached to unitaries only")
-    towers = [Element.identity(u.n), u]
-    out = Element.zero(u.n)
+    n = u.n
+    factors = {}
+    images = {(): Element.identity(n)}
+
+    def image(a):
+        y = images.get(a)
+        if y is None:
+            j = a[-1]
+            if j not in factors:
+                factors[j] = u * Element.gen(n, j)
+            y = images[a] = image(a[:-1]) * factors[j]
+        return y
+
+    raw = []
     for (a, b), c in x.terms.items():
-        uk = u_tower(u, len(a), towers)
-        um = u_tower(u, len(b), towers)
-        piece = uk * Element(u.n, {(a, b): dict(c)}, _normal=True) * um.adjoint()
-        out = out + piece
-    return out
+        for t, ct in _product_terms(image(a).terms, image(b).adjoint().terms):
+            raw.append((t, _cmul(ct, c)))
+    return _canonical(n, raw)
 
 
 def compose(u, v):

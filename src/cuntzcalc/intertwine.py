@@ -121,6 +121,13 @@ def _coords(x, lam):
     return vec
 
 
+def _div(q, f):
+    """Exact q / f; inputs built with int coefficients stay exact."""
+    if f == 1 or f == -1:
+        return q * f
+    return Fraction(q) / f
+
+
 def _axpy(dst, factor, src):
     for k, q in src.items():
         s = dst.get(k, 0) - factor * q
@@ -220,8 +227,8 @@ def intertwiner_space(u, L):
             k = min(vec)
             if k not in pivots:
                 f = vec[k]
-                pivots[k] = ({kk: q / f for kk, q in vec.items()},
-                             {kk: q / f for kk, q in comb.items()})
+                pivots[k] = ({kk: _div(q, f) for kk, q in vec.items()},
+                             {kk: _div(q, f) for kk, q in comb.items()})
                 placed = True
                 break
             pv, pc = pivots[k]
@@ -236,7 +243,7 @@ def intertwiner_space(u, L):
     for comb in kernel:
         lead = max(comb)
         f = comb[lead]
-        comb = {kk: q / f for kk, q in comb.items()}
+        comb = {kk: _div(q, f) for kk, q in comb.items()}
         leads[lead] = {kk: q for kk, q in comb.items() if kk != lead}
         raw = [(words[kk], {0: q}) for kk, q in comb.items()]
         basis.append(Element(n, raw))

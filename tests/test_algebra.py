@@ -9,8 +9,10 @@ from cuntzcalc.algebra import (
     ContextMismatch,
     Element,
     gauge_expectation,
+    left_inverse,
     membership,
     phi_preimage,
+    shift,
     word_degree,
     word_mul,
 )
@@ -112,6 +114,26 @@ def test_large_tower_product_is_unitary():
     assert len(w10.terms) == 8192
     assert (w10.adjoint() * w10).is_identity()
     assert (w10 * w10.adjoint()).is_identity()
+
+
+# -- the shift against the normalising constructor --------------------------
+
+def test_shift_matches_normalising_oracle():
+    rng = random.Random(5)
+    scalars = 0
+    for n in (2, 3, 4):
+        for _ in range(40):
+            x = random_element(rng, n, rng.randint(0, 8))
+            if rng.random() < 0.4:
+                # the scalar term is canonical only alone in degree 0
+                x = Element(n, {t: c for t, c in x.terms.items() if word_degree(t)})
+                x = x + Element.identity(n).scale(Fraction(rng.randint(1, 5), 3), rng.randint(-2, 2))
+            scalars += ((), ()) in x.terms
+            oracle = Element(n, [(((i,) + a, (i,) + b), c)
+                                 for (a, b), c in x.terms.items() for i in range(1, n + 1)])
+            assert shift(x).terms == oracle.terms
+            assert left_inverse(shift(x)) == x
+    assert scalars >= 20
 
 
 # -- canonical form ----------------------------------------------------------

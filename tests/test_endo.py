@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzcalc.algebra import Element, membership, phi_preimage
+from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
     IndexPairSet,
     NotSumOfWords,
@@ -19,6 +20,7 @@ from cuntzcalc.endo import (
     u_tower,
 )
 from cuntzcalc.exprio import constant, resolve
+from cuntzcalc.sampling import random_sum_of_words_unitary
 
 N = 2
 I = Element.identity(N)
@@ -184,6 +186,62 @@ def test_lambda_on_generators():
     assert lambda_apply(FLIP, S2) == S1
     assert lambda_apply(I, W0) == W0
     assert lambda_apply(W0, I) == I
+
+
+def tower_lambda(u, x):
+    """lambda_u(x) as u_k S_a S_b* u_m* with the tower u_k = u shift(u_{k-1})."""
+    towers = [Element.identity(u.n)]
+
+    def tower(k):
+        while len(towers) <= k:
+            towers.append(u * shift(towers[-1]))
+        return towers[k]
+
+    out = Element.zero(u.n)
+    for (a, b), c in x.terms.items():
+        out = out + tower(len(a)) * Element(u.n, {(a, b): c}) * tower(len(b)).adjoint()
+    return out
+
+
+def random_argument(rng, n, size, max_len):
+    """Words of mixed lengths with rational and g-power coefficients."""
+    raw = []
+    for _ in range(size):
+        alpha = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
+        beta = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
+        c = {rng.randint(-2, 2): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 2))}
+        raw.append(((alpha, beta), c))
+    return Element(n, raw)
+
+
+def test_lambda_matches_tower_oracle():
+    rng = random.Random(7)
+    rotation = "3/5 S1 S1* + 4/5 S1 S2* - 4/5 S2 S1* + 3/5 S2 S2*"
+    non_unitary = {2: "S1 S2* + 2 S21 + 1/2 g^1 S2 S11*", 3: "S3 S1* + S12", 4: "S4 + 1/3 S13 S2*"}
+    wide = 0
+    for n, max_len in ((2, 4), (3, 3), (4, 2)):
+        letters = " + ".join(f"S{i} S{i}*" for i in range(3, n + 1))
+        us = [resolve(rotation + (" + " + letters if letters else ""), n)]
+        for window in ((-1, 0, 1), None):
+            us += [random_sum_of_words_unitary(n, rng, max_splits=3, max_len=3, degree_window=window)
+                   for _ in range(3)]
+        wide += sum(any(abs(d) > 1 for d in u.degrees()) for u in us)
+        one, zero = Element.identity(n), Element.zero(n)
+        for u in us:
+            assert lambda_apply(u, zero) == zero
+            assert lambda_apply(u, one) == one
+            for _ in range(4):
+                x = random_argument(rng, n, rng.randint(1, 5), max_len)
+                assert lambda_apply(u, x) == tower_lambda(u, x)
+        v = resolve(non_unitary[n], n)
+        assert not is_unitary(v)
+        for _ in range(4):
+            x = random_argument(rng, n, rng.randint(1, 5), max_len)
+            assert lambda_apply(v, x, check_unitary=False) == tower_lambda(v, x)
+        with pytest.raises(ContextMismatch):
+            lambda_apply(us[0], Element.gen(2 if n > 2 else 3, 1))
+    assert wide > 0
 
 
 def test_lambda_requires_unitary():

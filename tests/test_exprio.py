@@ -127,6 +127,28 @@ def test_json_schema_violations():
     assert from_json(good) == word((1,), (2,))
 
 
+def test_out_of_range_letters_rejected_at_every_boundary():
+    # products, sums and shifts skip the letter check, so every way in checks
+    for letter in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            Element(N, {((1, letter), (2,)): {0: 1}})
+        with pytest.raises(ValueError, match="out of range"):
+            Element(N, [(((1,), (letter,)), 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            Element.word(N, (letter,))
+        with pytest.raises(ValueError, match="out of range"):
+            Element.word(N, (), (2, letter))
+        text = ('{"n": 2, "terms": [{"alpha": [1], "beta": [%d], '
+                '"coeff": [[0, 1, 1]]}]}' % letter)
+        with pytest.raises(ValueError, match="out of range"):
+            from_json(text)
+    for text in ("S3", "S1 S13*", "S1 + S23 S1*"):
+        with pytest.raises(ParseError):
+            parse(text, n=2)
+        with pytest.raises(ParseError):
+            resolve(text, n=2)
+
+
 def test_json_merges_duplicate_powers():
     text = ('{"n": 2, "terms": [{"alpha": [], "beta": [], '
             '"coeff": [[0, 1, 2], [0, 1, 2]]}]}')

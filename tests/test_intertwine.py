@@ -5,7 +5,7 @@ import pytest
 
 from cuntzcalc.algebra import Element, membership
 from cuntzcalc.endo import NotSumOfWords, gauge, is_unitary, left_inverse, shift
-from cuntzcalc.exprio import resolve
+from cuntzcalc.exprio import from_json, resolve, to_json
 from cuntzcalc.intertwine import (
     ConstructionNotSupported,
     PreconditionFailed,
@@ -148,6 +148,19 @@ def test_space_members_are_fixed_points_for_random_permutations():
         for b in rep.basis:
             if is_unitary(b):
                 assert agree_on_F(u, u * shift(b), 3) == (True, 0)
+
+
+def test_space_coefficients_stay_exact_for_int_inputs():
+    # permutation unitaries carry int coefficients {0: 1}
+    reps = [intertwiner_space(random_permutation_unitary(2, 2, random.Random(3)), 2)]
+    rng = random.Random(12)
+    for n, k, L in ((2, 2, 2), (2, 3, 2), (3, 1, 1), (3, 2, 1)):
+        reps.append(intertwiner_space(random_permutation_unitary(n, k, rng), L))
+    assert reps[0].basis[0] == I
+    for rep in reps:
+        for b in rep.basis:
+            assert not any(isinstance(q, float) for c in b.terms.values() for q in c.values())
+            assert from_json(to_json(b)) == b
 
 
 # -- coboundary form of the gauge cocycle ------------------------------------
