@@ -48,6 +48,12 @@ a term with one empty index gains the letter i on one side only).  So
 shift(x) is built already canonical.  The one exception is the scalar
 term ((), ()): its n images S_i S_i* contract back to I, so it is kept
 as it is.
+
+Blocks: level_blocks(q, k) cuts q into the blocks S_a* q S_b over level-k
+words.  Since S_i* shift(z) S_j = delta_ij z, x lies in the range of the
+shift iff its level-1 blocks vanish off the diagonal and its n diagonal
+blocks are equal; that block is the preimage (shift_preimage, applied
+once per level by phi_preimage).
 """
 
 from dataclasses import dataclass
@@ -419,19 +425,49 @@ def left_inverse(x):
 # ---------------------------------------------------------------------------
 # Subalgebra membership
 
+def level_blocks(q, k):
+    """The nonzero blocks S_a* q S_b of q over level-k words a, b.
+
+    A block is a term dict keyed by (a, b).  Every term of degree d is
+    first expanded to one beta-length per degree (at least k on both
+    sides), so two blocks of the same q are equal exactly when their
+    dicts are.  The canonical form of q has one beta-length per degree
+    already, so no two terms ever merge.  A block need not be canonical.
+    """
+    level = {}
+    for a, b in q.terms:
+        d = len(a) - len(b)
+        level[d] = max(level.get(d, k), k - d, len(b))
+    blocks = {}
+    for (al, be), c in q.terms.items():
+        for rho in product(range(1, q.n + 1), repeat=level[len(al) - len(be)] - len(be)):
+            a, b = al + rho, be + rho
+            blocks.setdefault((a[:k], b[:k]), {})[(a[k:], b[k:])] = c
+    return blocks
+
+
+def shift_preimage(n, blocks):
+    """z with shift(z) = x, from the level-1 blocks of x, or None."""
+    if not blocks:
+        return Element.zero(n)
+    z = blocks.get(((1,), (1,)))
+    if z is None or len(blocks) != n or any(blocks.get(((i,), (i,))) != z for i in range(2, n + 1)):
+        return None
+    return _canonical(n, z.items())
+
+
 def phi_preimage(x, k=1):
     """Preimage under the k-fold shift if x lies in its range, else None.
 
-    One level at a time: x is in the range of shift iff shift undoes
-    left_inverse on it, and the test stops at the first level that fails.
+    One level at a time, each a test of the level-1 blocks of x
+    (shift_preimage); the test stops at the first level that fails.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     for _ in range(k):
-        y = left_inverse(x)
-        if shift(y) != x:
+        x = shift_preimage(x.n, level_blocks(x, 1))
+        if x is None:
             return None
-        x = y
     return x
 
 

@@ -2,32 +2,38 @@
 
 Three routes:
 
-  direct   exact level-by-level test of w_k* gauge(w_k) against the range of
-           phi^k: the endomorphism maps every level-k matrix unit into the
-           core iff q_k = w_k* gauge(w_k) commutes with all of them, i.e. q_k
-           lies in their relative commutant phi^k(O_n).  Refutes or stays
-           undecided.
+  direct   the level-k recursion of endo.agreement with v = gauge(w), run
+           to the given depth without cycle detection: level k is
+           preserved iff y_k = w* zt_{k-1} gauge(w) lies in the shift's
+           range.  A failing level names the lexicographically least
+           level-k matrix unit whose image leaves the core, read off the
+           level-1 blocks of y_k.  Refutes or stays undecided.
 
-  cocycle  run the gauge-cocycle recursion
+  cocycle  the same recursion
                zt_1 = phihat(w* gauge(w)),  zt_{k+1} = phihat(w* zt_k gauge(w)),
-           where phihat is the left inverse of the shift.  Step k is valid
-           iff the argument lies in the shift's range (equivalently the
-           extracted element is unitary), which happens iff the endomorphism
-           preserves all matrix units of level k.  A repeated state proves
-           validity forever (the states live in a fixed finite-dimensional
+           where phihat is the left inverse of the shift, with cycle
+           detection.  Step k is valid iff the argument lies in the
+           shift's range, which happens iff the endomorphism preserves
+           all matrix units of level k.  A repeated state proves validity
+           forever (the states live in a fixed finite-dimensional
            diagonal algebra), so this route can certify as well as refute.
 
   graph    for sums of words with degrees in {-1, 0, +1}: build the labeled
            overlap digraph of beta-tails and decide the path condition
-           exactly by a synchronized pair search.  Always conclusive.
+           exactly by a synchronized pair search.  Always conclusive; the
+           level it reports is the first failing one, and the recursion
+           names its witness.
+
+No decision route builds the tower u_k; matrix_unit_witness builds it
+only when asked about a level above the first failing one.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-from .algebra import Element, membership, phi_preimage
+from .algebra import Element, level_blocks, membership
 from .endo import (
     NotSumOfWords,
+    agreement,
     gauge,
     is_unitary,
     lambda_apply,
@@ -40,9 +46,6 @@ from .exprio import render
 PRESERVES = "PRESERVES"
 NOT_PRESERVES = "NOT_PRESERVES"
 UNDECIDED = "UNDECIDED"
-
-# Highest level at which a refutation computes its witness matrix unit.
-WITNESS_CAP = 14
 
 
 class DegreeOutOfRange(ValueError):
@@ -234,72 +237,58 @@ class DecisionReport:
         }
 
 
-def _level_blocks(q, k):
-    """The nonzero blocks S_a* q S_b of q over level-k words a, b.
+def _failing_unit(n, k, blocks, m):
+    """The least level-k unit whose image leaves the core, or None.
 
-    A block is a term dict.  Every term of degree d is first expanded to
-    one beta-length per degree (at least k on both sides), so two blocks
-    are equal exactly when their dicts are.  The canonical form of q has
-    one beta-length per degree already, so no two terms ever merge.
+    blocks are the level-m blocks X_cd = S_c* q S_d of q = w_k* gauge(w_k)
+    = phi^(k-m)(y): m = k for the tower, m = 1 and y = y_k in the
+    recursion.  The image of S_a S_b* leaves the core iff it does not
+    commute with q, i.e. iff column a or row b has a nonzero off-diagonal
+    block, or X_aa != X_bb.  So the least failing unit is S_{1^k} S_{1^k}*
+    when column 1^m has an off-diagonal block, else S_{1^k} S_{1^(k-m) r}*
+    for the least failing row r.
     """
-    level = {}
-    for a, b in q.terms:
-        d = len(a) - len(b)
-        level[d] = max(level.get(d, k), k - d, len(b))
-    blocks = {}
-    for (al, be), c in q.terms.items():
-        for rho in product(range(1, q.n + 1), repeat=level[len(al) - len(be)] - len(be)):
-            a, b = al + rho, be + rho
-            blocks.setdefault((a[:k], b[:k]), {})[(a[k:], b[k:])] = c
-    return blocks
-
-
-def matrix_unit_witness(w, k, _towers=None):
-    """The least level-k matrix unit whose image leaves the core, or None.
-
-    The image of S_a S_b* stays in the core iff it commutes with
-    q = w_k* gauge(w_k).  With blocks X_cd = S_c* q S_d that fails iff
-    column a or row b has a nonzero off-diagonal block, or X_aa != X_bb;
-    so level k is preserved iff q = phi^k(X_{1..1,1..1}), and otherwise
-    the lexicographically least failing unit is S_{1..1} S_b*.  w must be
-    unitary.  None also above WITNESS_CAP, where no witness is computed.
-    """
-    if k > WITNESS_CAP:
-        return None
-    n = w.n
-    wk = u_tower(w, k, _towers or [Element.identity(n), w])
-    blocks = _level_blocks(wk.adjoint() * gauge(wk), k)
-    one = (1,) * k
+    one = (1,) * m
     ref = blocks.get((one, one), {})
     if any(b == one != a for a, b in blocks):
-        return Element(n, {(one, one): {0: 1}})
-    # q is unitary, so no row of blocks is zero: a zero diagonal block
-    # always comes with a nonzero off-diagonal one in its row
-    rows = {a for (a, b), x in blocks.items() if a != b or x != ref}
-    if not rows:
-        return None
-    return Element(n, {(one, min(rows)): {0: 1}})
+        row = one
+    else:
+        # q is unitary, so no row of blocks is zero: a zero diagonal block
+        # always comes with a nonzero off-diagonal one in its row
+        rows = {a for (a, b), x in blocks.items() if a != b or x != ref}
+        if not rows:
+            return None
+        row = min(rows)
+    return Element(n, {((1,) * k, (1,) * (k - m) + row): {0: 1}})
+
+
+def matrix_unit_witness(w, k):
+    """The least level-k matrix unit whose image leaves the core, or None.
+
+    Runs the recursion to level k.  Above the first failing level it
+    stops, and the witness comes from the level-k blocks of
+    q_k = w_k* gauge(w_k) with the tower w_k.  w must be unitary.
+    """
+    for j, _, z, blocks in agreement(w, gauge(w), k):
+        if z is None:
+            if j == k:
+                return _failing_unit(w.n, k, blocks, 1)
+            wk = u_tower(w, k, [Element.identity(w.n), w])
+            return _failing_unit(w.n, k, level_blocks(wk.adjoint() * gauge(wk), k), k)
+    return None
 
 
 def direct_check(w, depth):
-    """Exact level-by-level refutation up to depth; UNDECIDED when clean.
-
-    Levels above WITNESS_CAP are not tested; the note says so.
-    """
+    """Exact level-by-level refutation up to depth; UNDECIDED when clean."""
     if not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
-    towers = [Element.identity(w.n), w]
-    tested = min(depth, WITNESS_CAP)
-    for k in range(1, tested + 1):
-        x = matrix_unit_witness(w, k, towers)
-        if x is not None:
-            return DecisionReport(
-                NOT_PRESERVES, "direct", depth=k, failing_level=k, witness=x,
-                certificate={"image": render(lambda_apply(w, x, check_unitary=False))})
-    note = f"no violation up to level {tested}"
-    if tested < depth:
-        note += f"; levels above the witness cap {WITNESS_CAP} are not tested"
-    return DecisionReport(UNDECIDED, "direct", depth=tested, certificate={"note": note})
+    for k, _, z, blocks in agreement(w, gauge(w), depth):
+        if z is None:
+            x = _failing_unit(w.n, k, blocks, 1)
+            cert = {"image": render(lambda_apply(w, x, check_unitary=False))}
+            return _refutation("direct", k, x, cert)
+    return DecisionReport(UNDECIDED, "direct", depth=depth,
+                          certificate={"note": f"no violation up to level {depth}"})
 
 
 def monomial_defect(z):
@@ -335,12 +324,8 @@ def _with_defect(cert, z):
     return cert
 
 
-def _refutation(method, w, k, cert):
-    """NOT_PRESERVES at level k, with the level-k witness when it is computed."""
-    witness = matrix_unit_witness(w, k)
-    if witness is None:
-        cert["witness_note"] = (
-            f"level {k} is above the witness cap {WITNESS_CAP}; no witness computed")
+def _refutation(method, k, witness, cert):
+    """NOT_PRESERVES at level k, with its witness and certificate."""
     return DecisionReport(NOT_PRESERVES, method, depth=k, failing_level=k,
                           witness=witness, certificate=cert)
 
@@ -353,17 +338,13 @@ def cocycle_run(w, depth):
     """
     if not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
-    ws = w.adjoint()
-    gw = gauge(w)
-    zt = Element.identity(w.n)
     cocycles = []
-    seen = {zt: 0}
-    for k in range(1, depth + 1):
-        y = ws * zt * gw
-        zt = phi_preimage(y)
+    seen = {Element.identity(w.n): 0}
+    for k, y, zt, blocks in agreement(w, gauge(w), depth):
         if zt is None:
             z = left_inverse(y)  # the certificate shows the failed unshift
-            return cocycles, _refutation("cocycle", w, k, _with_defect({"cocycle": render(z)}, z))
+            cert = _with_defect({"cocycle": render(z)}, z)
+            return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks, 1), cert)
         cocycles.append(zt)
         if zt in seen:
             cert = {"cycle_stream": "accumulated", "cycle_start": seen[zt],
@@ -417,9 +398,11 @@ def _graph_decision(w):
     try:
         graph = build_overlap_graph(profile)
     except Psi1NotConstant as bad:
-        z1 = left_inverse(w.adjoint() * gauge(w))
-        cert = {"class": bad.class_name, "mixed_degrees": bad.values}
-        return _refutation("graph", w, 1, _with_defect(cert, z1))
+        # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
+        ((_, y, _, blocks),) = agreement(w, gauge(w), 1)
+        cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
+                            left_inverse(y))
+        return _refutation("graph", 1, _failing_unit(w.n, 1, blocks, 1), cert)
     ok, cert = path_condition(graph)
     cert = dict(cert)
     cert["classes"] = {name: [_fmt_tail(b) for b in members]
@@ -428,7 +411,9 @@ def _graph_decision(w):
     cert["edges"] = [list(e) for e in graph.edges]
     if ok:
         return DecisionReport(PRESERVES, "graph", certificate=cert)
-    return _refutation("graph", w, cert["bfs_depth"] + 1, cert)
+    # the level the pair search reports is the first failing one
+    k = cert["bfs_depth"] + 1
+    return _refutation("graph", k, matrix_unit_witness(w, k), cert)
 
 
 def export_dot(graph):

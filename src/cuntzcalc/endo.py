@@ -6,14 +6,20 @@ Every unitary u determines a unital *-endomorphism lambda mapping S_i to
 u S_i.  On a word it acts as lambda(S_a S_b*) = lambda(S_a) lambda(S_b)*,
 where lambda(S_a) = (u S_{a_1}) ... (u S_{a_k}) is evaluated from these
 factors, prefix by prefix.  The same image equals u_k S_a S_b* u_m* with
-the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I); the tower has about
-n^k terms and is built only for the level-k test
-(decide.matrix_unit_witness), which needs u_k itself.
+the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I).
+
+Every level-k question runs one recursion, agreement: z_0 = I,
+y_k = w* z_{k-1} v, z_k = phi^-1(y_k).  The endomorphisms of v and w agree
+on the level-k matrix units iff y_1, ..., y_k all lie in the shift's
+range; with v = gauge(w) that is preservation of the core.  The tower has
+about n^k terms and serves only decide.matrix_unit_witness above the
+first failing level, which the recursion does not reach.
 """
 
 from dataclasses import dataclass, field
 
 from .algebra import Element, _canonical, _cmul, _is_unit_coeff, _product_terms, word_degree
+from .algebra import level_blocks, shift_preimage
 from .algebra import left_inverse, shift  # noqa: F401
 
 
@@ -201,6 +207,24 @@ def lambda_apply(u, x, check_unitary=True):
         for t, ct in _product_terms(image(a).terms, image(b).adjoint().terms):
             raw.append((t, _cmul(ct, c)))
     return _canonical(n, raw)
+
+
+def agreement(w, v, depth):
+    """The recursion y_k = w* z_{k-1} v, z_k = phi^-1(y_k) from z_0 = I.
+
+    Yields (k, y_k, z_k, level-1 blocks of y_k) for k = 1..depth and
+    stops after the first level whose y_k leaves the shift's range,
+    where z_k is None.  w and v must be unitaries over the same n.
+    """
+    ws = w.adjoint()
+    z = Element.identity(w.n)
+    for k in range(1, depth + 1):
+        y = ws * z * v
+        blocks = level_blocks(y, 1)
+        z = shift_preimage(y.n, blocks)
+        yield k, y, z, blocks
+        if z is None:
+            return
 
 
 def compose(u, v):

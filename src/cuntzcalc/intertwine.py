@@ -13,12 +13,11 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import Element, membership, phi_preimage
-from .decide import NOT_PRESERVES, direct_check
 from .endo import (
     NotSumOfWords,
+    agreement,
     gauge,
     is_unitary,
-    left_inverse,
     shift,
     sum_of_words_profile,
 )
@@ -44,17 +43,14 @@ def is_self_intertwiner(u, v):
 def agree_on_F(v, w, K):
     """Whether the endomorphisms of v and w agree on the core up to level K.
 
-    Runs z_1 = phihat(w* v), z_{k+1} = phihat(w* z_k v); step k passes iff
-    the argument lies in the shift's range, which is equivalent to the
-    endomorphisms agreeing on all level-k matrix units.  Returns
-    (True, 0) or (False, first failing level).
+    Runs z_1 = phihat(w* v), z_{k+1} = phihat(w* z_k v) (endo.agreement);
+    step k passes iff the argument lies in the shift's range, which is
+    equivalent to the endomorphisms agreeing on all level-k matrix units.
+    Returns (True, 0) or (False, first failing level).
     """
     if not is_unitary(v) or not is_unitary(w):
         raise ValueError("agreement check needs unitary inputs")
-    ws = w.adjoint()
-    z = Element.identity(w.n)
-    for k in range(1, K + 1):
-        z = phi_preimage(ws * z * v)
+    for k, _, z, _ in agreement(w, v, K):
         if z is None:
             return False, k
     return True, 0
@@ -275,11 +271,9 @@ def coboundary_witness(w):
     """
     if not is_unitary(w):
         raise ValueError("coboundary witnesses need a unitary w")
-    probe = direct_check(w, 1)
-    if probe.verdict == NOT_PRESERVES:
+    ((_, _, z1, _),) = agreement(w, gauge(w), 1)
+    if z1 is None:
         raise PreconditionFailed("the endomorphism already leaves the core at level 1")
-    n = w.n
-    ident = Element.identity(n)
     if membership(w, "F"):
         U = w
     else:
@@ -287,8 +281,7 @@ def coboundary_witness(w):
     z = phi_preimage(w.adjoint() * U)
     if z is None:
         raise RuntimeError("internal: w* U is not in the shift's range")
-    lhs = left_inverse(w.adjoint() * gauge(w))
-    if lhs != z * gauge(z.adjoint()):
+    if z1 != z * gauge(z.adjoint()):
         raise RuntimeError("internal: coboundary identity failed")
     return U, z
 

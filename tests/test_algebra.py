@@ -220,6 +220,46 @@ def test_phi_preimage_roundtrip():
     assert membership(shift(x), "phik", 2) is False
 
 
+def left_inverse_preimage(x, k):
+    """phi_preimage by its definition: unshift, and check that shift undoes it."""
+    for _ in range(k):
+        y = left_inverse(x)
+        if shift(y) != x:
+            return None
+        x = y
+    return x
+
+
+def test_phi_preimage_matches_left_inverse_oracle():
+    rng = random.Random(23)
+    inside = outside = 0
+    for n in (2, 3, 4):
+        one = Element.identity(n)
+        xs = [Element.zero(n), one, one.scale(Fraction(-2, 3), 1)]
+        for _ in range(25):
+            # fewer terms for larger n: mixed lengths expand to n^4 words
+            z = random_element(rng, n, rng.randint(0, 7 - n))
+            if rng.random() < 0.25:
+                # a lone scalar term, with a g-power coefficient
+                z = one.scale(Fraction(rng.randint(1, 5), 3), rng.randint(-2, 2))
+            # shift(z) spoiled by one off-diagonal block, or in one diagonal block
+            i, j = rng.sample(range(1, n + 1), 2)
+            e = random_element(rng, n, 1)
+            si, sj = Element.gen(n, i), Element.gen(n, j)
+            off = shift(z) + si * e * sj.adjoint()
+            diag = shift(z) + si * e * si.adjoint()
+            xs += [z, shift(z), shift(shift(z)), shift(shift(shift(z))),
+                   off, diag, shift(off), shift(diag)]
+        for x in xs:
+            for k in range(4):
+                want = left_inverse_preimage(x, k)
+                assert phi_preimage(x, k) == want, (x, k)
+                if k and x.max_level():
+                    inside += want is not None
+                    outside += want is None
+    assert inside >= 300 and outside >= 800
+
+
 def test_membership_basics():
     p1 = word((1,), (1,))
     assert membership(p1, "D")

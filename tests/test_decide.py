@@ -284,17 +284,10 @@ def test_route_disagreement_is_typed_and_carries_both_reports(monkeypatch):
     assert info.value.probe is fake
 
 
-def test_missing_witness_above_the_cap_is_reported(monkeypatch):
-    import cuntzcalc.decide as decide
-
-    monkeypatch.setattr(decide, "WITNESS_CAP", 1)
-    for method in ("graph", "cocycle"):
-        r = decide_preserves(PHI_W0, method=method, depth=6)
-        assert (r.verdict, r.failing_level, r.witness) == (NOT_PRESERVES, 2, None), method
-        assert "witness cap 1" in r.certificate["witness_note"], method
-    r = decide_preserves(PHI_W0, method="direct", depth=6)
-    assert (r.verdict, r.depth) == (UNDECIDED, 1)
-    assert "not tested" in r.certificate["note"]
+def test_direct_tests_every_level_up_to_its_depth():
+    r = direct_check(W_CP, 16)
+    assert (r.verdict, r.depth) == (UNDECIDED, 16)
+    assert r.certificate == {"note": "no violation up to level 16"}
 
 
 def test_direct_check_is_bounded():

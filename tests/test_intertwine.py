@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cuntzcalc.algebra import Element, membership
-from cuntzcalc.endo import NotSumOfWords, gauge, is_unitary, left_inverse, shift
+from cuntzcalc.algebra import Element, membership, phi_preimage
+from cuntzcalc.endo import (
+    NotSumOfWords,
+    compose,
+    gauge,
+    is_unitary,
+    lambda_apply,
+    left_inverse,
+    shift,
+)
 from cuntzcalc.exprio import from_json, resolve, to_json
 from cuntzcalc.intertwine import (
     ConstructionNotSupported,
@@ -16,7 +25,7 @@ from cuntzcalc.intertwine import (
     normalizer_cocycle_check,
     perturb,
 )
-from cuntzcalc.sampling import random_permutation_unitary
+from cuntzcalc.sampling import random_permutation_unitary, random_sum_of_words_unitary
 
 N = 2
 I = Element.identity(N)
@@ -54,6 +63,42 @@ def test_agree_on_F():
     assert agree_on_F(FLIP, I, 2) == (False, 1)
     with pytest.raises(ValueError):
         agree_on_F(Element.gen(N, 1), I, 1)
+
+
+def brute_agreement(v, w, K):
+    """agree_on_F by definition: both endomorphisms on every level-k unit."""
+    for k in range(1, K + 1):
+        idx = list(product(range(1, w.n + 1), repeat=k))
+        for a in idx:
+            for b in idx:
+                e = Element(w.n, {(a, b): {0: 1}})
+                if lambda_apply(v, e, False) != lambda_apply(w, e, False):
+                    return False, k
+    return True, 0
+
+
+def test_agree_on_F_matches_brute_force():
+    rng = random.Random(4242)
+    levels = []
+    for n, K, rounds in ((2, 3, 6), (3, 2, 3), (3, 3, 1)):
+        for _ in range(rounds):
+            w, v, c, b = (random_sum_of_words_unitary(n, rng, max_splits=2, max_len=2)
+                          for _ in range(4))
+            while phi_preimage(b) is not None:
+                b = random_sum_of_words_unitary(n, rng, max_splits=2, max_len=2)
+            # lambda_{phi^j(b)} fixes every level-j unit and, as b is not a
+            # shift, moves a level-(j+1) one; composing with lambda_c keeps both
+            pairs = [(v, w), (w * shift(b), w),
+                     (compose(c, shift(b)), c), (compose(c, shift(shift(b))), c)]
+            for x, y in pairs:
+                if x == gauge(y):
+                    continue
+                want = brute_agreement(x, y, K)
+                assert agree_on_F(x, y, K) == want
+                levels.append(want[1])
+    # first differences at levels 1, 2 and 3, and pairs that agree throughout
+    assert levels.count(1) >= 5 and levels.count(2) >= 10 and levels.count(3) >= 5
+    assert levels.count(0) >= 2
 
 
 def test_perturb():

@@ -2,22 +2,29 @@
 
 The oracle applies the endomorphism to every level-k matrix unit S_a S_b*
 in lexicographic order of (a, b) and tests whether the image lies in the
-core; it is exact but costs n^(2k) products per level.
+core; it is exact but costs n^(2k) products per level.  The direct,
+cocycle and graph routes must all report its least failing unit.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from cuntzcalc.algebra import Element, membership
 from cuntzcalc.decide import (
     NOT_PRESERVES,
+    PRESERVES,
     UNDECIDED,
     DecisionReport,
+    DegreeOutOfRange,
+    IncompleteEdgeRule,
+    decide_preserves,
     direct_check,
     matrix_unit_witness,
 )
-from cuntzcalc.endo import gauge, shift, u_tower
+from cuntzcalc.endo import NotSumOfWords, gauge, shift, u_tower
 from cuntzcalc.exprio import render
 from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
 
@@ -72,20 +79,62 @@ def corpus(rng):
     return cases
 
 
-def test_level_test_matches_enumeration():
-    rng = random.Random(31337)
-    levels = []
-    for w, depth in corpus(rng):
+@pytest.fixture(scope="module")
+def enumerated():
+    """(w, depth, per-level oracle results) over the seeded corpus."""
+    out = []
+    for w, depth in corpus(random.Random(31337)):
         towers = [Element.identity(w.n), w]
-        want = DecisionReport(UNDECIDED, "direct", depth=depth,
-                              certificate={"note": f"no violation up to level {depth}"})
-        for k in range(1, depth + 1):
-            x, image = oracle_level_witness(w, k, towers)
+        out.append((w, depth, [oracle_level_witness(w, k, towers)
+                               for k in range(1, depth + 1)]))
+    return out
+
+
+def first_failure(levels):
+    """(level, unit, image) of the first failing level, or (0, None, None)."""
+    for k, (x, image) in enumerate(levels, 1):
+        if x is not None:
+            return k, x, image
+    return 0, None, None
+
+
+def test_level_test_matches_enumeration(enumerated):
+    failing = []
+    for w, depth, levels in enumerated:
+        for k, (x, _) in enumerate(levels, 1):
             assert matrix_unit_witness(w, k) == x, (render(w), k)
-            if x is not None and want.verdict == UNDECIDED:
-                want = DecisionReport(NOT_PRESERVES, "direct", depth=k, failing_level=k,
-                                      witness=x, certificate={"image": render(image)})
+        k, x, image = first_failure(levels)
+        if x is None:
+            want = DecisionReport(UNDECIDED, "direct", depth=depth,
+                                  certificate={"note": f"no violation up to level {depth}"})
+        else:
+            want = DecisionReport(NOT_PRESERVES, "direct", depth=k, failing_level=k,
+                                  witness=x, certificate={"image": render(image)})
         assert direct_check(w, depth).to_json_obj() == want.to_json_obj(), render(w)
-        levels.append(want.failing_level)
+        failing.append(k)
     # the corpus reaches refutations above level 1, not only clean runs
-    assert levels.count(1) >= 10 and levels.count(2) >= 3 and levels.count(3) >= 1
+    assert failing.count(1) >= 10 and failing.count(2) >= 3 and failing.count(3) >= 1
+
+
+def test_routes_report_the_enumerated_witness(enumerated):
+    graph_levels = []
+    for w, depth, levels in enumerated:
+        k, x, _ = first_failure(levels)
+        r = decide_preserves(w, "cocycle", depth)
+        if x is None:
+            assert r.verdict in (PRESERVES, UNDECIDED), render(w)
+        else:
+            assert (r.verdict, r.failing_level, r.witness) == (NOT_PRESERVES, k, x), render(w)
+        try:
+            g = decide_preserves(w, "graph")
+        except (NotSumOfWords, DegreeOutOfRange, IncompleteEdgeRule):
+            continue
+        if x is None:
+            # the graph decides every level; the enumeration stops at depth
+            assert g.verdict == PRESERVES or g.failing_level > depth, render(w)
+        else:
+            assert (g.verdict, g.failing_level, g.witness) == (NOT_PRESERVES, k, x), render(w)
+        graph_levels.append(k)
+    # the graph route reaches refutations at levels 1, 2 and 3 of the corpus
+    assert graph_levels.count(1) >= 5 and graph_levels.count(2) >= 5
+    assert graph_levels.count(3) >= 1
