@@ -6,13 +6,22 @@ A self-intertwiner of the endomorphism of u is an x with
 x = u shift(x) u*.  Perturbing u by such an x (on the left, or through
 the shift on the right) changes the endomorphism away from the core but
 not on it, which is the mechanism behind the main counterexample.
+
+The fixed points in Span_L = span{S_a S_b* : |a|, |b| <= L} are the
+kernel of the defect map x -> u shift(x) u* - x.  On a spanning word it
+reads u shift(S_a S_b*) u* = sum_i A_{ia} A_{ib}* with A_c = u S_c, so
+each factor A_c (and its adjoint) is formed once, and the raw product
+terms go straight into sparse coordinates at one beta-length per
+degree, with no normal form.  Every basis vector is then re-checked as
+u shift(b) u* == b in the Element arithmetic, which does not use that
+map.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, membership, phi_preimage
+from .algebra import Element, _canonical, _product_terms, membership, phi_preimage
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -97,31 +106,38 @@ def _span_words(n, L):
     return words
 
 
-def _coords(x, lam):
-    """Sparse coordinates of x at the common refinement levels lam[d].
+def _coordinates(n, raw, lam):
+    """Sparse coordinates of the sum of raw terms at beta-lengths lam[d].
 
-    Rows are keyed (degree, beta, alpha) after padding every canonical
-    term of degree d out to beta-length lam[d].  Coefficients must be
-    plain rationals (gauge degree zero).
+    Every term of degree d is padded by the Cuntz relation out to
+    beta-length lam[d] (at least its own); at one beta-length per degree
+    the words are independent, so the summed, nonzero entries are the
+    coordinates of the element itself.  Rows are keyed (degree, beta,
+    alpha).  The sums must be plain rationals (gauge degree zero); single
+    raw terms may carry g-powers that cancel.
     """
-    n = x.n
-    vec = {}
-    for (a, b), c in x.terms.items():
-        if set(c) != {0}:
-            raise ValueError("intertwiner spaces are computed over plain rationals")
-        q = c[0]
+    vec, twisted = {}, {}
+    for (a, b), c in raw:
         d = len(a) - len(b)
-        pad = lam[d] - len(b)
-        for rho in product(range(1, n + 1), repeat=pad):
-            vec[(d, b + rho, a + rho)] = q
-    return vec
+        for rho in product(range(1, n + 1), repeat=lam[d] - len(b)):
+            row = (d, b + rho, a + rho)
+            for m, q in c.items():
+                acc = twisted.setdefault(m, {}) if m else vec
+                prev = acc.get(row)
+                acc[row] = q if prev is None else prev + q
+    if any(any(acc.values()) for acc in twisted.values()):
+        raise ValueError("intertwiner spaces are computed over plain rationals")
+    return {row: q for row, q in vec.items() if q}
 
 
-def _div(q, f):
-    """Exact q / f; inputs built with int coefficients stay exact."""
-    if f == 1 or f == -1:
-        return q * f
-    return Fraction(q) / f
+def _scaled(vec, f):
+    """Exact vec / f entrywise; inputs built with int coefficients stay exact."""
+    if f == 1:
+        return dict(vec)
+    if f == -1:
+        return {k: -q for k, q in vec.items()}
+    f = Fraction(f)
+    return {k: q / f for k, q in vec.items()}
 
 
 def _axpy(dst, factor, src):
@@ -181,19 +197,21 @@ class SpanBasisReport:
         coeffs = self.coefficients_of(x)
         if coeffs is None:
             return False
-        total = Element.zero(x.n)
-        for q, b in zip(coeffs, self.basis):
-            total = total + b.scale(q)
-        return total == x
+        raw = [(t, {m: p * q for m, p in c.items()})
+               for q, b in zip(coeffs, self.basis) if q for t, c in b.terms.items()]
+        return _canonical(x.n, raw) == x
 
 
 def intertwiner_space(u, L):
     """SpanBasisReport for the fixed points of x -> u shift(x) u* in Span_L.
 
-    Exact rational null-space computation: every basis word is mapped
-    through the fixed-point defect T(x) - x, coordinates are taken at a
-    common refinement per degree, and sparse Gaussian elimination with
-    combination tracking extracts the kernel.
+    Exact rational null-space computation.  Every spanning word S_a S_b*
+    is mapped through the fixed-point defect T(x) - x, as the raw terms
+    of sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
+    u S_c.  Coordinates are taken at the largest raw beta-length per
+    degree, and sparse Gaussian elimination with combination tracking
+    extracts the kernel.  Each basis vector is re-verified as a fixed
+    point through Element products.
     """
     if not is_unitary(u):
         raise ValueError("intertwiner spaces need a unitary u")
@@ -201,30 +219,40 @@ def intertwiner_space(u, L):
         raise ValueError("level must be nonnegative")
     n = u.n
     words = _span_words(n, L)
-    us = u.adjoint()
-    defects = []
+    factors = {}
+
+    def factor(c):
+        # terms of u S_c and of its adjoint
+        f = factors.get(c)
+        if f is None:
+            x = u * Element.word(n, c)
+            f = factors[c] = (x.terms, x.adjoint().terms)
+        return f
+
+    raws = []
     for a, b in words:
-        e = Element(n, {(a, b): {0: 1}})
-        defects.append(u * shift(e) * us - e)
+        raw = [((a, b), {0: -1})]
+        for i in range(1, n + 1):
+            raw += _product_terms(factor((i,) + a)[0], factor((i,) + b)[1])
+        raws.append(raw)
 
     lam = {}
-    for x in defects:
-        for (a, b) in x.terms:
+    for raw in raws:
+        for (a, b), _ in raw:
             d = len(a) - len(b)
             lam[d] = max(lam.get(d, 0), len(b))
 
     pivots = {}
     kernel = []  # combinations over column indices, leading (max) column coeff 1
-    for j, x in enumerate(defects):
-        vec = _coords(x, lam)
+    for j, raw in enumerate(raws):
+        vec = _coordinates(n, raw, lam)
         comb = {j: Fraction(1)}
         placed = False
         while vec:
             k = min(vec)
             if k not in pivots:
                 f = vec[k]
-                pivots[k] = ({kk: _div(q, f) for kk, q in vec.items()},
-                             {kk: _div(q, f) for kk, q in comb.items()})
+                pivots[k] = (_scaled(vec, f), _scaled(comb, f))
                 placed = True
                 break
             pv, pc = pivots[k]
@@ -239,13 +267,14 @@ def intertwiner_space(u, L):
     for comb in kernel:
         lead = max(comb)
         f = comb[lead]
-        comb = {kk: _div(q, f) for kk, q in comb.items()}
+        comb = _scaled(comb, f)
         leads[lead] = {kk: q for kk, q in comb.items() if kk != lead}
         raw = [(words[kk], {0: q}) for kk, q in comb.items()]
         basis.append(Element(n, raw))
     order = sorted(range(len(kernel)), key=lambda i: max(kernel[i]))
     basis = tuple(basis[i] for i in order)
 
+    us = u.adjoint()
     for b in basis:
         if u * shift(b) * us != b:
             raise RuntimeError("internal: kernel vector fails the fixed-point identity")

@@ -1,9 +1,10 @@
 """The benchmark's tracer can still wrap every engine name it hooks.
 
-bench/tracer.py rebinds a fixed list of module functions and reads the
+bench/tracer.py rebinds a fixed list of module functions, reads the
 second positional argument of u_tower, direct_check and
-matrix_unit_witness; a renamed function or a keyword call breaks
-`bench/run.py --trace 1`.
+matrix_unit_witness, and reads the `_words` and `dimension` fields of
+an intertwiner space; a renamed function or field, or a keyword call,
+breaks `bench/run.py --trace 1`.
 """
 
 from pathlib import Path
@@ -29,6 +30,7 @@ def test_tracer_installs_and_reads_its_hooks(monkeypatch):
         report = cuntzcalc.decide_preserves(resolve(W_DEG2, 2))
         # above the first failing level: the tower
         witness = cuntzcalc.matrix_unit_witness(resolve(W0, 2), 3)
+        space = cuntzcalc.intertwiner_space(resolve("@u_cp"), 2)
     finally:
         inst.uninstall()
     assert (report.verdict, report.failing_level) == (decide.NOT_PRESERVES, 1)
@@ -40,4 +42,7 @@ def test_tracer_installs_and_reads_its_hooks(monkeypatch):
         assert got[name] == 1, name
     assert got["endo.u_tower.max_k"] == 3
     assert got["decide.matrix_unit_witness.level"] == 3
+    assert got["intertwine.intertwiner_space.calls"] == 1
+    assert got["intertwine.space.columns"] == len(space._words) == 40
+    assert got["intertwine.space.dimension"] == space.dimension == 5
     assert (decide.direct_check, decide.matrix_unit_witness, endo.u_tower) == originals

@@ -18,6 +18,7 @@ from cuntzcalc.exprio import from_json, resolve, to_json
 from cuntzcalc.intertwine import (
     ConstructionNotSupported,
     PreconditionFailed,
+    _span_words,
     agree_on_F,
     coboundary_witness,
     intertwiner_space,
@@ -206,6 +207,87 @@ def test_space_coefficients_stay_exact_for_int_inputs():
         for b in rep.basis:
             assert not any(isinstance(q, float) for c in b.terms.values() for q in c.values())
             assert from_json(to_json(b)) == b
+
+
+def oracle_space(u, L):
+    """(dimension, basis, leads) of the fixed points in Span_L, by definition.
+
+    The defect of each spanning word e is u shift(e) u* - e formed as
+    Elements, its coordinates are read at the canonical beta-length per
+    degree, and sympy's exact rref over QQ gives the kernel: each free
+    column j yields e_j minus the rref entries of column j at the pivot
+    columns, all of which precede j.
+    """
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    n = u.n
+    words = _span_words(n, L)
+    us = u.adjoint()
+    defects = []
+    for a, b in words:
+        e = Element(n, {(a, b): {0: 1}})
+        defects.append(u * shift(e) * us - e)
+    lam = {}
+    for x in defects:
+        for a, b in x.terms:
+            lam[len(a) - len(b)] = max(lam.get(len(a) - len(b), 0), len(b))
+    rows = {}
+    for j, x in enumerate(defects):
+        for (a, b), c in x.terms.items():
+            assert set(c) == {0}
+            q = Fraction(c[0])
+            d = len(a) - len(b)
+            for rho in product(range(1, n + 1), repeat=lam[d] - len(b)):
+                rows.setdefault((d, b + rho, a + rho), {})[j] = QQ(q.numerator, q.denominator)
+    matrix = DomainMatrix(dict(enumerate(rows.values())), (len(rows), len(words)), QQ)
+    rref, pivots = matrix.rref()
+    entries = rref.to_dod()
+    leads = {}
+    for j in sorted(set(range(len(words))) - set(pivots)):
+        leads[j] = {}
+        for r, p in enumerate(pivots):
+            q = entries.get(r, {}).get(j)
+            if q:
+                leads[j][p] = -Fraction(int(q.numerator), int(q.denominator))
+    basis = tuple(Element(n, [(words[j], {0: 1})] + [(words[p], {0: q}) for p, q in comb.items()])
+                  for j, comb in sorted(leads.items()))
+    assert len(leads) == len(words) - matrix.rank()
+    return len(leads), basis, leads
+
+
+def test_space_matches_the_element_oracle():
+    rng = random.Random(31)
+    cases = [(random_permutation_unitary(n, k, rng), L)
+             for n, k in ((2, 2), (2, 3), (3, 1), (3, 2)) for L in range(4)]
+    cases += [(U_CP, L) for L in range(4)]
+    cases += [(u, L) for u in (ROT, ROT * W_CP, I) for L in (0, 1, 2)]
+    dims = []
+    for u, L in cases:
+        rep = intertwiner_space(u, L)
+        dim, basis, leads = oracle_space(u, L)
+        assert (rep.dimension, rep.basis, rep._leads) == (dim, basis, leads)
+        dims.append(dim)
+    # not only the scalars: u_cp reaches 21 at level 3
+    assert max(dims) == 21
+
+
+def test_space_needs_plain_rational_defects():
+    # gauge(w_cp) moves words by g-powers that survive in the defect map
+    for L in (1, 2):
+        with pytest.raises(ValueError):
+            intertwiner_space(gauge(W_CP), L)
+    assert [intertwiner_space(gauge(U_CP), L).dimension for L in (0, 1, 2)] == [1, 1, 5]
+    # u S_1 and u S_2 mix degrees over comparable inner indices, so the raw
+    # terms of u S_i (u S_i)* carry g and 1/g; they cancel in u u* = I
+    u = gauge(W0 * ROT)
+    assert intertwiner_space(u, 0).dimension == 1
+    with pytest.raises(ValueError):
+        intertwiner_space(u, 1)
+    g = I.scale(1, gpow=1)
+    assert [intertwiner_space(g, L).dimension for L in (0, 1, 2)] == [1, 1, 1]
+    assert [intertwiner_space(g * U_CP, L).dimension for L in (0, 1, 2)] == [1, 1, 5]
 
 
 # -- coboundary form of the gauge cocycle ------------------------------------
