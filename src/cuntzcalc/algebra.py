@@ -86,7 +86,6 @@ def _ctx_n(ctx):
 # Laurent coefficients: dict {gpow: Fraction}, zero values never stored.
 
 ONE = Fraction(1)
-UNIT = {0: ONE}
 
 
 def _coeff(q=1, gpow=0):
@@ -107,9 +106,9 @@ def _cadd(a, b):
 
 def _cmul(a, b):
     # the unit fast path shares the other dict; coefficients are never mutated
-    if a == UNIT:
+    if _is_unit_coeff(a):
         return b
-    if b == UNIT:
+    if _is_unit_coeff(b):
         return a
     out = {}
     for ma, qa in a.items():
@@ -138,7 +137,8 @@ def _cshift(a, dm):
 
 
 def _is_unit_coeff(a):
-    return a == UNIT
+    # against the int 1, Fraction.__eq__ takes its fast path
+    return len(a) == 1 and a.get(0) == 1
 
 
 # ---------------------------------------------------------------------------

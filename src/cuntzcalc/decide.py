@@ -24,6 +24,10 @@ Three routes:
            level it reports is the first failing one, and the recursion
            names its witness.
 
+Auto mode runs graph when it applies, else cocycle, and checks a cocycle
+refutation with lambda_apply, which shares no code with the recursion:
+the witness's image must leave the core (certificate key "image").
+
 No decision route builds the tower u_k; matrix_unit_witness builds it
 only when asked about a level above the first failing one.
 """
@@ -57,7 +61,7 @@ class IncompleteEdgeRule(ValueError):
 
 
 class RouteDisagreement(RuntimeError):
-    """Two decision routes gave incompatible verdicts; carries both reports."""
+    """An auto refutation (.report) whose witness image (.probe) stays in F."""
 
     def __init__(self, message, report, probe):
         super().__init__(message)
@@ -359,7 +363,8 @@ def cocycle_run(w, depth):
 def decide_preserves(w, method="auto", depth=16):
     """DecisionReport for whether the endomorphism of w preserves the core.
 
-    A non-unitary w raises ValueError on every route: the direct and
+    auto: the graph route if it applies, else the cocycle route.  A
+    non-unitary w raises ValueError on every route: the direct and
     cocycle routes check unitarity, and the graph route accepts only
     sums of words whose alphas and betas are partitions of unity
     (NotSumOfWords otherwise).
@@ -374,22 +379,18 @@ def decide_preserves(w, method="auto", depth=16):
     if method == "graph":
         return _graph_decision(w)
 
-    # auto: graph when applicable, else cocycle cross-checked by direct
     try:
         return _graph_decision(w)
     except (NotSumOfWords, DegreeOutOfRange, IncompleteEdgeRule):
         pass
     report = cocycle_run(w, depth)[1]
-    probe = direct_check(w, min(depth, 3))
-    if probe.verdict == NOT_PRESERVES:
-        if report.verdict == UNDECIDED:
-            return probe
-        if report.verdict == PRESERVES or report.failing_level > probe.failing_level:
+    if report.verdict == NOT_PRESERVES:
+        image = lambda_apply(w, report.witness, check_unitary=False)
+        if membership(image, "F"):
             raise RouteDisagreement(
-                f"cocycle route gives {report.verdict} at level {report.depth} but a "
-                f"level-{probe.failing_level} matrix unit leaves the core", report, probe)
-    report.certificate = dict(report.certificate or {})
-    report.certificate["cross_check"] = f"direct to level {min(depth, 3)}: {probe.verdict}"
+                f"cocycle route refutes level {report.failing_level}, but the image of "
+                f"its witness {render(report.witness)} lies in the core", report, image)
+        report.certificate["image"] = render(image)
     return report
 
 

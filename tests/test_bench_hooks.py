@@ -26,15 +26,19 @@ def test_tracer_installs_and_reads_its_hooks(monkeypatch):
     tracer = Tracer()
     inst = install(tracer)
     try:
-        # off the graph route: graph fallback, cocycle route, direct probe
+        # off the graph route: graph fallback, then the cocycle route only
         report = cuntzcalc.decide_preserves(resolve(W_DEG2, 2))
+        auto = tracer.summary()
+        direct = cuntzcalc.decide_preserves(resolve(W0, 2), "direct", 2)
         # above the first failing level: the tower
         witness = cuntzcalc.matrix_unit_witness(resolve(W0, 2), 3)
         space = cuntzcalc.intertwiner_space(resolve("@u_cp"), 2)
     finally:
         inst.uninstall()
     assert (report.verdict, report.failing_level) == (decide.NOT_PRESERVES, 1)
+    assert (direct.verdict, direct.failing_level) == (decide.NOT_PRESERVES, 1)
     assert witness is not None
+    assert auto["decide.direct_check.calls"] == 0
     got = tracer.summary()
     for name in ("decide.graph.fallbacks", "decide.cocycle_run.calls",
                  "decide.direct_check.calls", "decide.matrix_unit_witness.calls",

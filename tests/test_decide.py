@@ -7,7 +7,6 @@ from cuntzcalc.decide import (
     NOT_PRESERVES,
     PRESERVES,
     UNDECIDED,
-    DecisionReport,
     DegreeOutOfRange,
     IncompleteEdgeRule,
     OverlapGraph,
@@ -26,6 +25,7 @@ from cuntzcalc.decide import (
 from cuntzcalc.endo import (
     IndexPairSet,
     NotSumOfWords,
+    gauge,
     lambda_apply,
     shift,
     sum_of_words_profile,
@@ -238,7 +238,8 @@ def test_degree_window_fallback_is_conclusive():
     assert r.method == "cocycle"
     assert r.verdict == NOT_PRESERVES
     assert r.failing_level == 1
-    assert "cross_check" in r.certificate
+    # auto mode checks the refutation by applying the endomorphism
+    assert r.certificate["image"] == render(lambda_apply(W_DEG2, r.witness))
 
 
 def test_rotation_in_core_preserves():
@@ -274,14 +275,44 @@ def test_non_unitary_input_raises_on_every_route(method, text):
 def test_route_disagreement_is_typed_and_carries_both_reports(monkeypatch):
     import cuntzcalc.decide as decide
 
-    fake = DecisionReport(NOT_PRESERVES, "direct", depth=1, failing_level=1,
-                          witness=word((1,), (2,)), certificate={"image": "S1 S2*"})
-    monkeypatch.setattr(decide, "direct_check", lambda w, depth: fake)
+    core = word((1,), (2,)) + word((2,), (1,))  # in the core, unlike a true image
+    monkeypatch.setattr(decide, "lambda_apply", lambda w, x, check_unitary=True: core)
     with pytest.raises(RouteDisagreement) as info:
-        decide_preserves(ROT)  # off the graph route; the cocycle route certifies it
-    assert info.value.report.verdict == PRESERVES
+        decide_preserves(W_DEG2)  # off the graph route; the cocycle route refutes it
+    assert info.value.report.verdict == NOT_PRESERVES
     assert info.value.report.method == "cocycle"
-    assert info.value.probe is fake
+    assert info.value.report.witness == word((1,), (2,))
+    assert info.value.probe is core
+
+
+# gauge-twisted diagonal phase times a twisted word unitary: off the graph route
+PHASE = word((1,), (1,), 1, 1) - word((2,), (2,))
+TWISTED = (PHASE * gauge(W0, 2), PHASE * gauge(W_CP, -1))
+
+
+@pytest.mark.parametrize("w", (W_DEG2, ROT) + TWISTED,
+                         ids=["degree2", "rotation", "twisted_w0", "twisted_w_cp"])
+def test_auto_runs_one_route_and_checks_refutations_by_the_action(monkeypatch, w):
+    import cuntzcalc.decide as decide
+
+    calls = {}
+
+    def counted(name):
+        fn = getattr(decide, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(decide, name, wrapper)
+
+    for name in ("is_unitary", "agreement", "direct_check", "lambda_apply"):
+        counted(name)
+    r = decide_preserves(w)
+    assert r.method == "cocycle"
+    assert calls.get("is_unitary") == 1
+    assert calls.get("agreement") == 1
+    assert "direct_check" not in calls
+    assert calls.get("lambda_apply", 0) == (r.verdict == NOT_PRESERVES)
 
 
 def test_direct_tests_every_level_up_to_its_depth():

@@ -3,7 +3,8 @@
 The oracle applies the endomorphism to every level-k matrix unit S_a S_b*
 in lexicographic order of (a, b) and tests whether the image lies in the
 core; it is exact but costs n^(2k) products per level.  The direct,
-cocycle and graph routes must all report its least failing unit.
+cocycle, graph and auto routes must all report its least failing unit,
+and auto's off-graph refutations the enumeration's image of it.
 """
 
 import random
@@ -117,14 +118,22 @@ def test_level_test_matches_enumeration(enumerated):
 
 
 def test_routes_report_the_enumerated_witness(enumerated):
-    graph_levels = []
+    graph_levels, auto_images = [], []
     for w, depth, levels in enumerated:
-        k, x, _ = first_failure(levels)
+        k, x, image = first_failure(levels)
         r = decide_preserves(w, "cocycle", depth)
         if x is None:
             assert r.verdict in (PRESERVES, UNDECIDED), render(w)
         else:
             assert (r.verdict, r.failing_level, r.witness) == (NOT_PRESERVES, k, x), render(w)
+        a = decide_preserves(w, "auto", depth)
+        if x is None:
+            assert a.verdict != NOT_PRESERVES or a.failing_level > depth, render(w)
+        else:
+            assert (a.verdict, a.failing_level, a.witness) == (NOT_PRESERVES, k, x), render(w)
+            if a.method == "cocycle":
+                assert a.certificate["image"] == render(image), render(w)
+                auto_images.append(k)
         try:
             g = decide_preserves(w, "graph")
         except (NotSumOfWords, DegreeOutOfRange, IncompleteEdgeRule):
@@ -138,3 +147,6 @@ def test_routes_report_the_enumerated_witness(enumerated):
     # the graph route reaches refutations at levels 1, 2 and 3 of the corpus
     assert graph_levels.count(1) >= 5 and graph_levels.count(2) >= 5
     assert graph_levels.count(3) >= 1
+    # auto falls back to the cocycle route on the corpus's wide-degree words,
+    # rotations and gauge twists; its refutations there are at level 1
+    assert auto_images.count(1) >= 5
