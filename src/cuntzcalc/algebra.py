@@ -13,7 +13,8 @@ statements because the characters e^{itm} are linearly independent.
 Representation:
     multi-index    tuple of ints in 1..n, () = empty index
     word term      pair (alpha, beta) meaning S_alpha S_beta*
-    coefficient    dict {gpow: Fraction}, no zero values stored
+    coefficient    dict {gpow: int | Fraction}, no zero values stored;
+                   integral values are stored as int
     Element        dict {(alpha, beta): coefficient} in canonical form
 
 Canonical form: terms are grouped by degree |alpha| - |beta|; inside a
@@ -29,12 +30,13 @@ Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
 indices q, r is a prefix of the other; then it is S_{p t} S_s* if
 r = q t, and S_p S_{s t}* if q = r t.  So the product of two Elements
 never tries all pairs of terms.  It indexes the factor with fewer terms
-by its inner index, under that index and under every prefix of it; each
-inner index x of the other factor then finds the inner indices that
-extend x (one lookup under x) and those that are proper prefixes of x
-(one lookup per index length that occurs), i.e. exactly the surviving
-pairs.  Coefficient dicts may be shared between Elements and are never
-mutated in place.
+by its inner index, under that index and under every prefix of it
+(_inner_index); each inner index x of the other factor then finds the
+inner indices that extend x (one lookup under x) and those that are
+proper prefixes of x (one lookup per index length that occurs), i.e.
+exactly the surviving pairs (_probe).  A caller that multiplies by the
+same factor many times keeps its index.  Coefficient dicts may be shared
+between Elements and are never mutated in place.
 
 Letters are checked once, where words enter from outside: the public
 constructor Element(n, raw), Element.word, and through them the parser
@@ -53,7 +55,8 @@ Blocks: level_blocks(q, k) cuts q into the blocks S_a* q S_b over level-k
 words.  Since S_i* shift(z) S_j = delta_ij z, x lies in the range of the
 shift iff its level-1 blocks vanish off the diagonal and its n diagonal
 blocks are equal; that block is the preimage (shift_preimage, applied
-once per level by phi_preimage).
+once per level by phi_preimage).  The mean of the n diagonal blocks is
+the left inverse (1/n) sum_i S_i* x S_i of the shift (diagonal_mean).
 """
 
 from dataclasses import dataclass
@@ -83,13 +86,22 @@ def _ctx_n(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Laurent coefficients: dict {gpow: Fraction}, zero values never stored.
+# Laurent coefficients: dict {gpow: int | Fraction}, zero values never
+# stored.  Integral values are ints, so integral inputs are computed in
+# int arithmetic; Fraction(1) == 1 and both hash alike, so term dicts
+# compare and hash the same either way.
 
-ONE = Fraction(1)
+def _exact(q):
+    """q as a coefficient value: an int when integral, else a Fraction."""
+    if type(q) is int:
+        return q
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _coeff(q=1, gpow=0):
-    q = Fraction(q)
+    q = _exact(q)
     return {gpow: q} if q else {}
 
 
@@ -129,11 +141,6 @@ def _cconj(a):
 
 def _cneg(a):
     return {m: -q for m, q in a.items()}
-
-
-def _cshift(a, dm):
-    # multiply by g^dm
-    return {m + dm: q for m, q in a.items()}
 
 
 def _is_unit_coeff(a):
@@ -228,17 +235,29 @@ def _product_terms(xs, ys):
     """
     right = len(ys) <= len(xs)
     small, large = (ys, xs) if right else (xs, ys)
+    return _probe(_inner_index(small, right), large, right)
+
+
+def _inner_index(terms, right):
+    """Index of one factor's term dict by inner index: the alphas of a
+    right factor (right=True), the betas of a left one."""
     extends, exact, lengths = {}, {}, set()
-    for (a, b), c in small.items():
+    for (a, b), c in terms.items():
         inner, outer = (a, b) if right else (b, a)
         entry = (inner, outer, c)
         for m in range(len(inner) + 1):
             extends.setdefault(inner[:m], []).append(entry)
         exact.setdefault(inner, []).append(entry)
         lengths.add(len(inner))
-    lengths = sorted(lengths)
+    return extends, exact, sorted(lengths)
+
+
+def _probe(index, terms, right):
+    """Raw surviving terms of the product of the indexed factor with the
+    term dict terms, which stands on the other side of it."""
+    extends, exact, lengths = index
     raw = []
-    for (a, b), c in large.items():
+    for (a, b), c in terms.items():
         inner, outer = (b, a) if right else (a, b)
         m = len(inner)
         # indexed inner = inner + tail: the tail moves to this outer index
@@ -279,7 +298,8 @@ class Element:
                 a, b = tuple(t[0]), tuple(t[1])
                 _check_letters(n, a)
                 _check_letters(n, b)
-                checked.append(((a, b), c if isinstance(c, dict) else _coeff(c)))
+                c = {m: _exact(q) for m, q in c.items() if q} if isinstance(c, dict) else _coeff(c)
+                checked.append(((a, b), c))
             terms = _normal_form(n, checked)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
@@ -312,7 +332,7 @@ class Element:
         return not self.terms
 
     def is_identity(self):
-        return self.terms == {((), ()): {0: ONE}}
+        return self.terms == {((), ()): {0: 1}}
 
     def degrees(self):
         return sorted({word_degree(t) for t in self.terms})
@@ -364,7 +384,7 @@ class Element:
         q = Fraction(q)
         if not q:
             return Element.zero(self.n)
-        terms = {t: _cshift({m: p * q for m, p in c.items()}, gpow) for t, c in self.terms.items()}
+        terms = {t: {m + gpow: _exact(p * q) for m, p in c.items()} for t, c in self.terms.items()}
         return Element(self.n, terms, _normal=True)
 
     def adjoint(self):
@@ -408,18 +428,7 @@ def shift(x):
 
 def left_inverse(x):
     """x -> (1/n) sum_i S_i* x S_i; undoes shift."""
-    inv = Fraction(1, x.n)
-    raw = []
-    for t, c in x.terms.items():
-        for i in range(1, x.n + 1):
-            t1 = word_mul(((), (i,)), t)
-            if t1 is None:
-                continue
-            t2 = word_mul(t1, ((i,), ()))
-            if t2 is None:
-                continue
-            raw.append((t2, {m: q * inv for m, q in c.items()}))
-    return _canonical(x.n, raw)
+    return diagonal_mean(x.n, level_blocks(x, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +463,12 @@ def shift_preimage(n, blocks):
     if z is None or len(blocks) != n or any(blocks.get(((i,), (i,))) != z for i in range(2, n + 1)):
         return None
     return _canonical(n, z.items())
+
+
+def diagonal_mean(n, blocks):
+    """(1/n) sum_i S_i* x S_i, from the level-1 blocks of x."""
+    raw = [tc for i in range(1, n + 1) for tc in blocks.get(((i,), (i,)), {}).items()]
+    return _canonical(n, raw).scale(Fraction(1, n))
 
 
 def phi_preimage(x, k=1):

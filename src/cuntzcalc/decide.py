@@ -34,14 +34,13 @@ only when asked about a level above the first failing one.
 
 from dataclasses import dataclass
 
-from .algebra import Element, level_blocks, membership
+from .algebra import Element, diagonal_mean, level_blocks, membership
 from .endo import (
     NotSumOfWords,
     agreement,
     gauge,
     is_unitary,
     lambda_apply,
-    left_inverse,
     sum_of_words_profile,
     u_tower,
 )
@@ -344,17 +343,16 @@ def cocycle_run(w, depth):
         raise ValueError("preservation decisions need a unitary input")
     cocycles = []
     seen = {Element.identity(w.n): 0}
-    for k, y, zt, blocks in agreement(w, gauge(w), depth):
+    for k, _, zt, blocks in agreement(w, gauge(w), depth):
         if zt is None:
-            z = left_inverse(y)  # the certificate shows the failed unshift
+            z = diagonal_mean(w.n, blocks)  # the certificate shows the failed unshift
             cert = _with_defect({"cocycle": render(z)}, z)
             return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks, 1), cert)
         cocycles.append(zt)
-        if zt in seen:
-            cert = {"cycle_stream": "accumulated", "cycle_start": seen[zt],
-                    "period": k - seen[zt]}
+        first = seen.setdefault(zt, k)
+        if first != k:
+            cert = {"cycle_stream": "accumulated", "cycle_start": first, "period": k - first}
             return cocycles, DecisionReport(PRESERVES, "cocycle", depth=k, certificate=cert)
-        seen[zt] = k
     return cocycles, DecisionReport(
         UNDECIDED, "cocycle", depth=depth,
         certificate={"note": f"no failure and no state repetition within depth {depth}"})
@@ -400,9 +398,9 @@ def _graph_decision(w):
         graph = build_overlap_graph(profile)
     except Psi1NotConstant as bad:
         # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
-        ((_, y, _, blocks),) = agreement(w, gauge(w), 1)
+        ((_, _, _, blocks),) = agreement(w, gauge(w), 1)
         cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
-                            left_inverse(y))
+                            diagonal_mean(w.n, blocks))
         return _refutation("graph", 1, _failing_unit(w.n, 1, blocks, 1), cert)
     ok, cert = path_condition(graph)
     cert = dict(cert)

@@ -104,11 +104,11 @@ class _Parser:
             if not saw_factor:
                 k, v, p = self.tokens[self.i] if self.i < len(self.tokens) else (None, "end of input", self.end)
                 raise ParseError(f"expected a coefficient or a factor, found {v!r}", p)
-            q = Fraction(1)
+            q = 1
             gpow = 0
         if pair is None:
             return []
-        return [(pair, {gpow: Fraction(sign) * q})] if q else []
+        return [(pair, {gpow: sign * q})] if q else []
 
     def coeff(self):
         """Leading coefficient of a term, or (None, 0) if absent."""
@@ -116,19 +116,19 @@ class _Parser:
         gpow = 0
         if self.peek() == "num":
             _, v, _ = self.take()
-            q = Fraction(int(v))
+            q = int(v)
             if self.peek() == "slash":
                 self.take()
                 _, d, p = self.take("num")
                 if int(d) == 0:
                     raise ParseError("zero denominator", p)
-                q /= int(d)
+                q = Fraction(q, int(d))
         if self.peek() == "g":
             self.take()
             self.take("caret")
             gpow = self.sint()
             if q is None:
-                q = Fraction(1)
+                q = 1
         return q, gpow
 
     def sint(self):

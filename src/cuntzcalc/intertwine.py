@@ -10,9 +10,11 @@ not on it, which is the mechanism behind the main counterexample.
 The fixed points in Span_L = span{S_a S_b* : |a|, |b| <= L} are the
 kernel of the defect map x -> u shift(x) u* - x.  On a spanning word it
 reads u shift(S_a S_b*) u* = sum_i A_{ia} A_{ib}* with A_c = u S_c, so
-each factor A_c (and its adjoint) is formed once, and the raw product
-terms go straight into sparse coordinates at one beta-length per
-degree, with no normal form.  Every basis vector is then re-checked as
+each factor A_c (and its adjoint) is formed once, the adjoint is
+indexed by inner index once (algebra._inner_index) so that each of the
+n products per word only probes that index, and the raw product terms
+go straight into sparse coordinates at one beta-length per degree, with
+no normal form.  Every basis vector is then re-checked as
 u shift(b) u* == b in the Element arithmetic, which does not use that
 map.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _canonical, _product_terms, membership, phi_preimage
+from .algebra import Element, _canonical, _inner_index, _probe, membership, phi_preimage
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -106,25 +108,26 @@ def _span_words(n, L):
     return words
 
 
-def _coordinates(n, raw, lam):
+def _coordinates(raw, lam, pads):
     """Sparse coordinates of the sum of raw terms at beta-lengths lam[d].
 
     Every term of degree d is padded by the Cuntz relation out to
-    beta-length lam[d] (at least its own); at one beta-length per degree
-    the words are independent, so the summed, nonzero entries are the
-    coordinates of the element itself.  Rows are keyed (degree, beta,
-    alpha).  The sums must be plain rationals (gauge degree zero); single
-    raw terms may carry g-powers that cancel.
+    beta-length lam[d] (at least its own), with the tails pads[p] of
+    length p; at one beta-length per degree the words are independent,
+    so the summed, nonzero entries are the coordinates of the element
+    itself.  Rows are keyed (degree, beta, alpha).  The sums must be
+    plain rationals (gauge degree zero); single raw terms may carry
+    g-powers that cancel.
     """
     vec, twisted = {}, {}
     for (a, b), c in raw:
         d = len(a) - len(b)
-        for rho in product(range(1, n + 1), repeat=lam[d] - len(b)):
-            row = (d, b + rho, a + rho)
-            for m, q in c.items():
-                acc = twisted.setdefault(m, {}) if m else vec
-                prev = acc.get(row)
-                acc[row] = q if prev is None else prev + q
+        tails = pads[lam[d] - len(b)]
+        for m, q in c.items():
+            acc = twisted.setdefault(m, {}) if m else vec
+            for rho in tails:
+                row = (d, b + rho, a + rho)
+                acc[row] = acc.get(row, 0) + q
     if any(any(acc.values()) for acc in twisted.values()):
         raise ValueError("intertwiner spaces are computed over plain rationals")
     return {row: q for row, q in vec.items() if q}
@@ -186,11 +189,7 @@ class SpanBasisReport:
             f = vec.pop(j)
             coeffs[j] = f
             _axpy(vec, f, comb)
-        out = [Fraction(0)] * self.dimension
-        order = sorted(self._leads)
-        for pos, j in enumerate(order):
-            out[pos] = coeffs.get(j, Fraction(0))
-        return out
+        return [coeffs.get(j, 0) for j in sorted(self._leads)]
 
     def contains(self, x):
         """Whether x lies in the space; reconstruction is checked exactly."""
@@ -208,10 +207,11 @@ def intertwiner_space(u, L):
     Exact rational null-space computation.  Every spanning word S_a S_b*
     is mapped through the fixed-point defect T(x) - x, as the raw terms
     of sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
-    u S_c.  Coordinates are taken at the largest raw beta-length per
-    degree, and sparse Gaussian elimination with combination tracking
-    extracts the kernel.  Each basis vector is re-verified as a fixed
-    point through Element products.
+    u S_c, each adjoint indexed once as a right factor.  Coordinates are
+    taken at the largest raw beta-length per degree, padded with tails
+    built once per call, and sparse Gaussian elimination with combination
+    tracking extracts the kernel.  Each basis vector is re-verified as a
+    fixed point through Element products.
     """
     if not is_unitary(u):
         raise ValueError("intertwiner spaces need a unitary u")
@@ -222,18 +222,18 @@ def intertwiner_space(u, L):
     factors = {}
 
     def factor(c):
-        # terms of u S_c and of its adjoint
+        # terms of u S_c, and the index of its adjoint as a right factor
         f = factors.get(c)
         if f is None:
             x = u * Element.word(n, c)
-            f = factors[c] = (x.terms, x.adjoint().terms)
+            f = factors[c] = (x.terms, _inner_index(x.adjoint().terms, True))
         return f
 
     raws = []
     for a, b in words:
         raw = [((a, b), {0: -1})]
         for i in range(1, n + 1):
-            raw += _product_terms(factor((i,) + a)[0], factor((i,) + b)[1])
+            raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0], True)
         raws.append(raw)
 
     lam = {}
@@ -241,38 +241,28 @@ def intertwiner_space(u, L):
         for (a, b), _ in raw:
             d = len(a) - len(b)
             lam[d] = max(lam.get(d, 0), len(b))
+    pads = [list(product(range(1, n + 1), repeat=p)) for p in range(max(lam.values()) + 1)]
 
-    pivots = {}
-    kernel = []  # combinations over column indices, leading (max) column coeff 1
+    pivots = {}  # leading row -> (rest of the vector, combination), both divided by the lead
+    kernel = {}  # column j -> kernel combination over columns <= j, with coefficient 1 at j
     for j, raw in enumerate(raws):
-        vec = _coordinates(n, raw, lam)
-        comb = {j: Fraction(1)}
-        placed = False
+        vec = _coordinates(raw, lam, pads)
+        comb = {j: 1}
         while vec:
             k = min(vec)
+            f = vec.pop(k)
             if k not in pivots:
-                f = vec[k]
                 pivots[k] = (_scaled(vec, f), _scaled(comb, f))
-                placed = True
                 break
             pv, pc = pivots[k]
-            f = vec.pop(k)
-            _axpy(vec, f, {kk: q for kk, q in pv.items() if kk != k})
+            _axpy(vec, f, pv)
             _axpy(comb, f, pc)
-        if not placed:
-            kernel.append(comb)
+        else:
+            kernel[j] = comb
 
-    basis = []
-    leads = {}
-    for comb in kernel:
-        lead = max(comb)
-        f = comb[lead]
-        comb = _scaled(comb, f)
-        leads[lead] = {kk: q for kk, q in comb.items() if kk != lead}
-        raw = [(words[kk], {0: q}) for kk, q in comb.items()]
-        basis.append(Element(n, raw))
-    order = sorted(range(len(kernel)), key=lambda i: max(kernel[i]))
-    basis = tuple(basis[i] for i in order)
+    basis = tuple(Element(n, [(words[kk], {0: q}) for kk, q in comb.items()])
+                  for comb in kernel.values())
+    leads = {j: {kk: q for kk, q in comb.items() if kk != j} for j, comb in kernel.items()}
 
     us = u.adjoint()
     for b in basis:

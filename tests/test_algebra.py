@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,24 @@ from cuntzcalc.algebra import (
     AlgebraContext,
     ContextMismatch,
     Element,
+    _canonical,
+    _inner_index,
+    _probe,
+    _product_terms,
+    diagonal_mean,
     gauge_expectation,
     left_inverse,
+    level_blocks,
     membership,
     phi_preimage,
     shift,
     word_degree,
     word_mul,
 )
+from cuntzcalc.endo import gauge, lambda_apply
+from cuntzcalc.exprio import constant, parse, render, to_json
+from cuntzcalc.intertwine import intertwiner_space
+from cuntzcalc.sampling import random_permutation_unitary
 
 N = 2
 I = Element.identity(N)
@@ -104,6 +115,39 @@ def test_product_matches_all_pairs_oracle():
             assert x * one == one * x == x
             assert (x * zero).is_zero() and (zero * x).is_zero()
     assert shapes == {-1, 0, 1}
+
+
+def random_terms(rng, n, size):
+    """A term dict of size random words, not in canonical form."""
+    terms = {}
+    for _ in range(size):
+        alpha = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+        beta = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+        terms[(alpha, beta)] = {rng.randint(-1, 1): rng.choice((1, -2, Fraction(1, 3)))}
+    return terms
+
+
+def raw_multiset(raw):
+    return Counter((t, frozenset(c.items())) for t, c in raw)
+
+
+def test_reused_index_matches_product_and_all_pairs_oracle():
+    rng = random.Random(13)
+    for n in (2, 3):
+        for _ in range(40):
+            fixed = random_terms(rng, n, rng.randint(1, 8))
+            right, left = _inner_index(fixed, True), _inner_index(fixed, False)
+            y = Element(n, fixed)
+            for _ in range(3):
+                # the same index, probed by several factors of either size
+                other = random_terms(rng, n, rng.randint(1, 8))
+                x = Element(n, other)
+                as_right = _probe(right, other, True)  # other * fixed
+                as_left = _probe(left, other, False)  # fixed * other
+                assert raw_multiset(as_right) == raw_multiset(_product_terms(other, fixed))
+                assert raw_multiset(as_left) == raw_multiset(_product_terms(fixed, other))
+                assert _canonical(n, as_right) == all_pairs_product(x, y)
+                assert _canonical(n, as_left) == all_pairs_product(y, x)
 
 
 def test_large_tower_product_is_unitary():
@@ -220,10 +264,36 @@ def test_phi_preimage_roundtrip():
     assert membership(shift(x), "phik", 2) is False
 
 
+def word_by_word_left_inverse(x):
+    """(1/n) sum_i S_i* x S_i, word by word, as the definition reads."""
+    n = x.n
+    raw = []
+    for t, c in x.terms.items():
+        for i in range(1, n + 1):
+            t1 = word_mul(((), (i,)), t)
+            t2 = None if t1 is None else word_mul(t1, ((i,), ()))
+            if t2 is not None:
+                raw.append((t2, {m: q * Fraction(1, n) for m, q in c.items()}))
+    return Element(n, raw)
+
+
+def test_diagonal_mean_matches_word_by_word_oracle():
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        one = Element.identity(n)
+        for _ in range(30):
+            z = random_element(rng, n, rng.randint(0, 7 - n))
+            off = Element.gen(n, 1) * random_element(rng, n, 1) * Element.gen(n, n).adjoint()
+            for x in (z, shift(z), shift(z) + off, z + one.scale(Fraction(2, 3), 1)):
+                want = word_by_word_left_inverse(x)
+                assert diagonal_mean(n, level_blocks(x, 1)) == want
+                assert left_inverse(x) == want
+
+
 def left_inverse_preimage(x, k):
     """phi_preimage by its definition: unshift, and check that shift undoes it."""
     for _ in range(k):
-        y = left_inverse(x)
+        y = word_by_word_left_inverse(x)
         if shift(y) != x:
             return None
         x = y
@@ -327,3 +397,60 @@ def test_equality_iff_zero_difference(x, y):
     assert (x == y) == (x - y).is_zero()
     if x == y:
         assert hash(x) == hash(y)
+
+
+# -- coefficients: integral values are ints ---------------------------------
+
+def coefficient_values(x):
+    return [q for c in x.terms.values() for q in c.values()]
+
+
+def assert_int_coefficients(x):
+    """Every coefficient of x is a nonzero int (no float, no integral Fraction)."""
+    for q in coefficient_values(x):
+        assert type(q) is int and q, (render(x), q)
+
+
+int_terms = st.lists(st.tuples(indices, indices, st.integers(-3, 3), st.integers(-2, 2)),
+                     max_size=5)
+
+
+@settings(**SETTINGS)
+@given(int_terms)
+def test_int_and_fraction_coefficients_build_the_same_element(ts):
+    by_dict = [Element(N, [((a, b), {g: f(q)}) for a, b, q, g in ts]) for f in (int, Fraction)]
+    by_scalar = [Element(N, [((a, b), f(q)) for a, b, q, _ in ts]) for f in (int, Fraction)]
+    for x, y in (by_dict, by_scalar):
+        assert x == y and hash(x) == hash(y)
+        assert render(x) == render(y) and to_json(x) == to_json(y)
+        assert_int_coefficients(x)
+        assert_int_coefficients(y)
+    x = by_dict[0]
+    assert x.scale(Fraction(4, 2)) == x.scale(2)
+    assert_int_coefficients(x.scale(Fraction(4, 2)))
+    assert_int_coefficients(x.scale(Fraction(3, 2)).scale(Fraction(2, 3)))
+
+
+def test_integral_inputs_stay_int():
+    rng = random.Random(31)
+    assert_int_coefficients(parse("4/2 S1 - 3 g^2 S2* + I"))
+    assert_int_coefficients(Element.word(N, (1,), (2,), Fraction(6, 3)))
+    assert type(parse("1/2 S1").terms[((1,), ())][0]) is Fraction
+    assert all(isinstance(q, (int, Fraction)) for q in coefficient_values(Element.word(N, (1,), (), 0.5)))
+    for n in (2, 3):
+        us = [random_permutation_unitary(n, k, rng) for k in (1, 2)]
+        if n == 2:
+            us.append(constant("u_cp"))
+        for _ in range(15):
+            x = Element(n, [((a, b), {g: q}) for (a, b), c in random_element(rng, n, 4).terms.items()
+                            for g, q in c.items() if q.denominator == 1])
+            y = Element(n, [(t, {0: rng.choice((1, -2))}) for t in random_element(rng, n, 3).terms])
+            u = rng.choice(us)
+            for z in (x, x * y, y * x, x + y, x - y, x.adjoint(), shift(x), gauge(x, 2),
+                      left_inverse(shift(x)), lambda_apply(u, x), lambda_apply(u, y)):
+                assert_int_coefficients(z)
+    for u, level in ((random_permutation_unitary(2, 2, rng), 2), (random_permutation_unitary(3, 1, rng), 2),
+                     (constant("u_cp"), 3)):
+        space = intertwiner_space(u, level)
+        for b in space.basis:
+            assert_int_coefficients(b)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from cuntzcalc.endo import sum_of_words_profile
 from cuntzcalc.exprio import resolve
 
 W0 = "S1 S11* + S21 S12* + S22 S2*"
+ROT = "3/5 S1 S1* + 4/5 S1 S2* - 4/5 S2 S1* + 3/5 S2 S2*"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -208,6 +212,24 @@ def test_verify_examples(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "all claims pass"
     assert len([ln for ln in lines if ln.startswith("PASS")]) == len(lines) - 1
+
+
+# Recorded standard output (tests/golden/<name>.txt) and exit code.
+GOLDEN_CASES = {
+    "intertwiner_u_cp_level3": (("intertwiner", "--u", "@u_cp", "--level", "3"), 0),
+    "preserves_rotation_json": (("preserves-uhf", "--json", "--w", ROT), 0),
+    "preserves_w0_cocycle_json": (("preserves-uhf", "--json", "--w", W0, "--method", "cocycle"), 1),
+    "normalize_halves": (("normalize", "1/2 S1 S1* + 1/2 S1 S1* + 2 S2 S2*"), 0),
+}
+
+
+def test_outputs_match_the_recorded_ones_byte_for_byte(capsys):
+    for name, (argv, want) in GOLDEN_CASES.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == want, name
+        assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes(), name
+        # coefficients print as exact rationals, never as floats or reprs
+        assert not re.search(r"\d\.\d|Fraction", out), name
 
 
 def test_search_exhaustive_k1(capsys):
