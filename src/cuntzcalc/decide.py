@@ -28,13 +28,15 @@ Auto mode runs graph when it applies, else cocycle, and checks a cocycle
 refutation with lambda_apply, which shares no code with the recursion:
 the witness's image must leave the core (certificate key "image").
 
-No decision route builds the tower u_k; matrix_unit_witness builds it
-only when asked about a level above the first failing one.
+Nothing here builds the tower u_k.  Asked about a level k above the
+first failing one, matrix_unit_witness scans the images
+lambda(S_a) = u_k S_a of the level-k words row by row instead.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import Element, diagonal_mean, level_blocks, membership
+from .algebra import Element, diagonal_mean, membership
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -42,7 +44,7 @@ from .endo import (
     is_unitary,
     lambda_apply,
     sum_of_words_profile,
-    u_tower,
+    word_images,
 )
 from .exprio import render
 
@@ -240,18 +242,18 @@ class DecisionReport:
         }
 
 
-def _failing_unit(n, k, blocks, m):
+def _failing_unit(n, k, blocks):
     """The least level-k unit whose image leaves the core, or None.
 
-    blocks are the level-m blocks X_cd = S_c* q S_d of q = w_k* gauge(w_k)
-    = phi^(k-m)(y): m = k for the tower, m = 1 and y = y_k in the
-    recursion.  The image of S_a S_b* leaves the core iff it does not
-    commute with q, i.e. iff column a or row b has a nonzero off-diagonal
-    block, or X_aa != X_bb.  So the least failing unit is S_{1^k} S_{1^k}*
-    when column 1^m has an off-diagonal block, else S_{1^k} S_{1^(k-m) r}*
-    for the least failing row r.
+    blocks are the level-1 blocks X_cd = S_c* y S_d of the failing y = y_k
+    of the recursion, and q = w_k* gauge(w_k) = phi^(k-1)(y).  The image
+    of S_a S_b* leaves the core iff it does not commute with q, i.e. iff
+    column a or row b has a nonzero off-diagonal block, or X_aa != X_bb.
+    So the least failing unit is S_{1^k} S_{1^k}* when column 1 has an
+    off-diagonal block, else S_{1^k} S_{1^(k-1) r}* for the least failing
+    row r.
     """
-    one = (1,) * m
+    one = (1,)
     ref = blocks.get((one, one), {})
     if any(b == one != a for a, b in blocks):
         row = one
@@ -262,22 +264,49 @@ def _failing_unit(n, k, blocks, m):
         if not rows:
             return None
         row = min(rows)
-    return Element(n, {((1,) * k, (1,) * (k - m) + row): {0: 1}})
+    return Element(n, {((1,) * k, (1,) * (k - 1) + row): {0: 1}})
+
+
+def _scanned_unit(w, k):
+    """The least level-k unit whose image leaves the core, or None.
+
+    With E_a = lambda(S_a) = w_k S_a, the level-k blocks of
+    q = w_k* gauge(w_k) are g^-k E_a* gauge(E_b), and both E and gauge(E)
+    are families of isometries with sum E_a E_a* = I.  So with
+    X = E_{1^k}* gauge(E_{1^k}), column 1^k has an off-diagonal block iff
+    gauge(E_{1^k}) != E_{1^k} X, and otherwise row r fails iff
+    E_r* != X gauge(E_r)*.  The rows are scanned in lexicographic order,
+    one small product each, up to the first failing one.
+    """
+    image = word_images(w)
+    one = (1,) * k
+    e = image(one)
+    ge = gauge(e)
+    x = e.adjoint() * ge
+    if ge != e * x:
+        return Element(w.n, {(one, one): {0: 1}})
+    xs = x.adjoint()
+    for r in product(range(1, w.n + 1), repeat=k):
+        e = image(r)
+        if e != gauge(e) * xs:
+            return Element(w.n, {(one, r): {0: 1}})
+    return None
 
 
 def matrix_unit_witness(w, k):
     """The least level-k matrix unit whose image leaves the core, or None.
 
-    Runs the recursion to level k.  Above the first failing level it
-    stops, and the witness comes from the level-k blocks of
-    q_k = w_k* gauge(w_k) with the tower w_k.  w must be unitary.
+    Runs the recursion to level k.  A failing level k names the witness
+    from its blocks; above the first failing level the recursion stops,
+    and the witness comes from the images of the level-k words.  w must
+    be unitary: a failing level with no failing unit raises ValueError.
     """
     for j, _, z, blocks in agreement(w, gauge(w), k):
         if z is None:
-            if j == k:
-                return _failing_unit(w.n, k, blocks, 1)
-            wk = u_tower(w, k, [Element.identity(w.n), w])
-            return _failing_unit(w.n, k, level_blocks(wk.adjoint() * gauge(wk), k), k)
+            x = _failing_unit(w.n, k, blocks) if j == k else _scanned_unit(w, k)
+            if x is None:
+                raise ValueError("matrix_unit_witness needs a unitary w")
+            return x
     return None
 
 
@@ -287,7 +316,7 @@ def direct_check(w, depth):
         raise ValueError("preservation decisions need a unitary input")
     for k, _, z, blocks in agreement(w, gauge(w), depth):
         if z is None:
-            x = _failing_unit(w.n, k, blocks, 1)
+            x = _failing_unit(w.n, k, blocks)
             cert = {"image": render(lambda_apply(w, x, check_unitary=False))}
             return _refutation("direct", k, x, cert)
     return DecisionReport(UNDECIDED, "direct", depth=depth,
@@ -347,7 +376,7 @@ def cocycle_run(w, depth):
         if zt is None:
             z = diagonal_mean(w.n, blocks)  # the certificate shows the failed unshift
             cert = _with_defect({"cocycle": render(z)}, z)
-            return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks, 1), cert)
+            return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks), cert)
         cocycles.append(zt)
         first = seen.setdefault(zt, k)
         if first != k:
@@ -401,7 +430,7 @@ def _graph_decision(w):
         ((_, _, _, blocks),) = agreement(w, gauge(w), 1)
         cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
                             diagonal_mean(w.n, blocks))
-        return _refutation("graph", 1, _failing_unit(w.n, 1, blocks, 1), cert)
+        return _refutation("graph", 1, _failing_unit(w.n, 1, blocks), cert)
     ok, cert = path_condition(graph)
     cert = dict(cert)
     cert["classes"] = {name: [_fmt_tail(b) for b in members]

@@ -5,15 +5,17 @@ The shift and its left inverse live in algebra and are re-exported here.
 Every unitary u determines a unital *-endomorphism lambda mapping S_i to
 u S_i.  On a word it acts as lambda(S_a S_b*) = lambda(S_a) lambda(S_b)*,
 where lambda(S_a) = (u S_{a_1}) ... (u S_{a_k}) is evaluated from these
-factors, prefix by prefix.  The same image equals u_k S_a S_b* u_m* with
-the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I).
+factors, prefix by prefix (word_images).  The same image equals
+u_k S_a S_b* u_m* with the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I).
 
 Every level-k question runs one recursion, agreement: z_0 = I,
 y_k = w* z_{k-1} v, z_k = phi^-1(y_k).  The endomorphisms of v and w agree
 on the level-k matrix units iff y_1, ..., y_k all lie in the shift's
-range; with v = gauge(w) that is preservation of the core.  The tower has
-about n^k terms and serves only decide.matrix_unit_witness above the
-first failing level, which the recursion does not reach.
+range; with v = gauge(w) that is preservation of the core.  Above the
+first failing level, which the recursion does not reach,
+decide.matrix_unit_witness reads its witness from the images
+lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
+which has about n^k terms; u_tower stays public as a reference.
 """
 
 from dataclasses import dataclass, field
@@ -177,16 +179,12 @@ def u_tower(u, k, _cache=None):
     return _cache[k]
 
 
-def lambda_apply(u, x, check_unitary=True):
-    """Apply the endomorphism of u to x.
+def word_images(u):
+    """a -> lambda(S_a) = (u S_{a_1}) ... (u S_{a_k}) for the endomorphism of u.
 
-    Each term c S_a S_b* maps to c lambda(S_a) lambda(S_b)*, with
-    lambda(S_a) = lambda(S_{a[:-1]}) (u S_{a[-1]}) memoised by prefix;
-    the terms of all images are normalised once, at the end.
+    Memoised by prefix: lambda(S_a) = lambda(S_{a[:-1]}) (u S_{a[-1]}), so
+    the images of words that share prefixes cost one product per word.
     """
-    u._require_same(x)
-    if check_unitary and not is_unitary(u):
-        raise ValueError("endomorphisms are attached to unitaries only")
     n = u.n
     factors = {}
     images = {(): Element.identity(n)}
@@ -200,11 +198,25 @@ def lambda_apply(u, x, check_unitary=True):
             y = images[a] = image(a[:-1]) * factors[j]
         return y
 
+    return image
+
+
+def lambda_apply(u, x, check_unitary=True):
+    """Apply the endomorphism of u to x.
+
+    Each term c S_a S_b* maps to c lambda(S_a) lambda(S_b)*, with the
+    images of word_images; the terms of all images are normalised once,
+    at the end.
+    """
+    u._require_same(x)
+    if check_unitary and not is_unitary(u):
+        raise ValueError("endomorphisms are attached to unitaries only")
+    image = word_images(u)
     raw = []
     for (a, b), c in x.terms.items():
         for t, ct in _product_terms(image(a).terms, image(b).adjoint().terms):
             raw.append((t, _cmul(ct, c)))
-    return _canonical(n, raw)
+    return _canonical(u.n, raw)
 
 
 def agreement(w, v, depth):

@@ -30,7 +30,7 @@ def test_tracer_installs_and_reads_its_hooks(monkeypatch):
         report = cuntzcalc.decide_preserves(resolve(W_DEG2, 2))
         auto = tracer.summary()
         direct = cuntzcalc.decide_preserves(resolve(W0, 2), "direct", 2)
-        # above the first failing level: the tower
+        # above the first failing level: word images, not the tower
         witness = cuntzcalc.matrix_unit_witness(resolve(W0, 2), 3)
         space = cuntzcalc.intertwiner_space(resolve("@u_cp"), 2)
     finally:
@@ -41,10 +41,9 @@ def test_tracer_installs_and_reads_its_hooks(monkeypatch):
     assert auto["decide.direct_check.calls"] == 0
     got = tracer.summary()
     for name in ("decide.graph.fallbacks", "decide.cocycle_run.calls",
-                 "decide.direct_check.calls", "decide.matrix_unit_witness.calls",
-                 "endo.u_tower.calls"):
+                 "decide.direct_check.calls", "decide.matrix_unit_witness.calls"):
         assert got[name] == 1, name
-    assert got["endo.u_tower.max_k"] == 3
+    assert got["endo.u_tower.calls"] == 0
     assert got["decide.matrix_unit_witness.level"] == 3
     assert got["intertwine.intertwiner_space.calls"] == 1
     assert got["intertwine.space.columns"] == len(space._words) == 40

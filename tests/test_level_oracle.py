@@ -4,7 +4,9 @@ The oracle applies the endomorphism to every level-k matrix unit S_a S_b*
 in lexicographic order of (a, b) and tests whether the image lies in the
 core; it is exact but costs n^(2k) products per level.  The direct,
 cocycle, graph and auto routes must all report its least failing unit,
-and auto's off-graph refutations the enumeration's image of it.
+and auto's off-graph refutations the enumeration's image of it.  Above
+the first failing level, matrix_unit_witness must also match the least
+failing unit read off the level-k blocks of the tower's w_k* gauge(w_k).
 """
 
 import random
@@ -13,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from cuntzcalc.algebra import Element, membership
+from cuntzcalc.algebra import Element, level_blocks, membership
 from cuntzcalc.decide import (
     NOT_PRESERVES,
     PRESERVES,
@@ -26,7 +28,7 @@ from cuntzcalc.decide import (
     matrix_unit_witness,
 )
 from cuntzcalc.endo import NotSumOfWords, gauge, shift, u_tower
-from cuntzcalc.exprio import render
+from cuntzcalc.exprio import render, resolve
 from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
 
 
@@ -150,3 +152,58 @@ def test_routes_report_the_enumerated_witness(enumerated):
     # auto falls back to the cocycle route on the corpus's wide-degree words,
     # rotations and gauge twists; its refutations there are at level 1
     assert auto_images.count(1) >= 5
+
+
+def tower_witness(w, k, towers):
+    """(least failing level-k unit, whether column 1^k fails) from the
+    level-k blocks X_ab = S_a* q S_b of q = w_k* gauge(w_k), tower w_k.
+
+    The image of S_a S_b* leaves the core iff column a or row b of the
+    blocks has a nonzero off-diagonal block, or X_aa != X_bb.
+    """
+    wk = u_tower(w, k, towers)
+    blocks = level_blocks(wk.adjoint() * gauge(wk), k)
+    one = (1,) * k
+    if any(b == one != a for a, b in blocks):
+        return Element(w.n, {(one, one): {0: 1}}), True
+    ref = blocks.get((one, one), {})
+    row = min(a for (a, b), x in blocks.items() if a != b or x != ref)
+    return Element(w.n, {(one, row): {0: 1}}), False
+
+
+def refuted_words(n, rng, count):
+    """count seeded sums of words with unrestricted degrees that fail at level 1."""
+    out = []
+    while len(out) < count:
+        w = random_sum_of_words_unitary(n, rng, max_splits=3, max_len=2, degree_window=None)
+        if direct_check(w, 1).verdict == NOT_PRESERVES:
+            out.append(w)
+    return out
+
+
+def test_witness_above_the_failing_level_matches_the_tower():
+    rng = random.Random(2718)
+    cases = []
+    for n, top, count in ((2, 6, 3), (3, 4, 2)):
+        for w in refuted_words(n, rng, count):
+            cases += [(w, top), (shift(w), top), (shift(shift(w)), top),
+                      (gauge(w, rng.choice((-1, 2))), top)]
+    w_cp, w0 = resolve("@w_cp"), resolve("S1 S11* + S21 S12* + S22 S2*")
+    # the tower of a rational rotation is dense: 0.6 s at level 4 with w_cp
+    for cos, sin in ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))):
+        r = rotation(2, (1,), (2,), cos, sin)
+        cases += [(r * w0, 4), (w0 * shift(r), 4), (r * w_cp, 3), (w_cp * shift(r), 3)]
+    checked, columns, rows = 0, 0, 0
+    for w, top in cases:
+        report = direct_check(w, top)
+        if report.verdict != NOT_PRESERVES:
+            continue
+        towers = [Element.identity(w.n), w]
+        for k in range(report.failing_level + 1, top + 1):
+            x, column = tower_witness(w, k, towers)
+            assert matrix_unit_witness(w, k) == x, (render(w), k)
+            checked += 1
+            columns += column
+            # a row witness other than S_{1^k} S_{1^k}*
+            rows += x != Element(w.n, {((1,) * k, (1,) * k): {0: 1}})
+    assert checked >= 60 and columns >= 10 and rows >= 40
