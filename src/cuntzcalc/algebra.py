@@ -17,14 +17,21 @@ Representation:
                    integral values are stored as int
     Element        dict {(alpha, beta): coefficient} in canonical form
 
-Canonical form: terms are grouped by degree |alpha| - |beta|; inside a
-degree group every beta is expanded to a common length via the Cuntz
-relation S_alpha S_beta* = sum_i S_{alpha i} S_{beta i}*, like terms are
-collected, zero coefficients dropped, and then whole-group contraction
-is applied while possible (all last letters matching and all n-term
-families complete with equal coefficients).  The result is the unique
-minimal uniform-level presentation per degree, so two Elements are equal
-in O_n exactly when their term dicts coincide.
+Canonical form: the coarsest cylinder presentation.  The root of a
+word (alpha, beta) is the pair left after stripping the common trailing
+letters, alpha = alpha0 gamma and beta = beta0 gamma, so that
+S_alpha S_beta* = S_alpha0 P_gamma S_beta0* with P_gamma = S_gamma S_gamma*.
+The terms under one root sum to S_alpha0 f S_beta0*, where f is a step
+function on infinite words: the value of the projections P_gamma is
+carried by the cylinder [gamma] of words that start with gamma.  The
+Cuntz relation only splits or joins cylinders, so f is an invariant of
+the element.  The stored form keeps, under each root, the maximal
+cylinders on which f is constant and nonzero (_cylinders, a loop over
+the trie of the tails, not bounded by the recursion depth).  No two
+terms under one root nest, and no complete n-family of siblings with
+equal coefficients is left, so two Elements are equal in O_n exactly
+when their term dicts coincide.  I + S_1^k S_1^k* is stored as
+(n-1)k + 1 terms.
 
 Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
 indices q, r is a prefix of the other; then it is S_{p t} S_s* if
@@ -44,19 +51,23 @@ and from_json.  Products, sums, shift and left_inverse build their terms
 from words of existing Elements and normalise them unchecked.
 
 Shift: prefixing one letter i to both indices of every term of a
-canonical x keeps one beta-length per degree, and no degree group of the
-result is contractible (the families are the prefixed families of x, and
-a term with one empty index gains the letter i on one side only).  So
+canonical x keeps the tails under each root, except where a root index
+is empty: then i may move into the tail, and the new root collects the
+tails of one old root, each prefixed by i (for the root ((), ()), those
+of all n prefixes, which join back only where f is constant).  So
 shift(x) is built already canonical.  The one exception is the scalar
 term ((), ()): its n images S_i S_i* contract back to I, so it is kept
 as it is.
 
 Blocks: level_blocks(q, k) cuts q into the blocks S_a* q S_b over level-k
-words.  Since S_i* shift(z) S_j = delta_ij z, x lies in the range of the
-shift iff its level-1 blocks vanish off the diagonal and its n diagonal
-blocks are equal; that block is the preimage (shift_preimage, applied
-once per level by phi_preimage).  The mean of the n diagonal blocks is
-the left inverse (1/n) sum_i S_i* x S_i of the shift (diagonal_mean).
+words, padding each term only until both of its indices reach length k.
+The blocks of a canonical q are canonical, so two blocks are equal
+exactly when their dicts are.  Since S_i* shift(z) S_j = delta_ij z, x
+lies in the range of the shift iff its level-1 blocks vanish off the
+diagonal and its n diagonal blocks are equal; that block is the
+preimage (shift_preimage, applied once per level by phi_preimage).  The
+mean of the n diagonal blocks is the left inverse (1/n) sum_i S_i* x S_i
+of the shift (diagonal_mean).
 """
 
 from dataclasses import dataclass
@@ -179,51 +190,70 @@ def _check_letters(n, idx):
 
 
 def _normal_form(n, raw):
-    """Canonical term dict from an iterable of ((alpha, beta), coeffdict)."""
-    groups = {}
+    """Canonical term dict from an iterable of ((alpha, beta), coeffdict).
+
+    Groups the terms by root (see the module docstring); a root with one
+    tail is already coarsest, the others go through _cylinders.
+    """
+    roots = {}
     for t, c in raw:
         if not c:
             continue
-        groups.setdefault(word_degree(t), []).append((t, c))
+        a, b = t
+        tail = ()
+        if a and b and a[-1] == b[-1]:
+            la, lb = len(a), len(b)
+            m = 1
+            while m < la and m < lb and a[-1 - m] == b[-1 - m]:
+                m += 1
+            t, tail = (a[:la - m], b[:lb - m]), a[la - m:]
+        tails = roots.setdefault(t, {})
+        prev = tails.get(tail)
+        tails[tail] = _cadd(prev, c) if prev else c
     out = {}
-    for items in groups.values():
-        target = max(len(t[1]) for t, _ in items)
-        acc = {}
-        for (a, b), c in items:
-            grow = target - len(b)
-            if grow == 0:
-                tails = ((),)
-            else:
-                tails = product(range(1, n + 1), repeat=grow)
-            for suf in tails:
-                key = (a + suf, b + suf)
-                prev = acc.get(key)
-                acc[key] = _cadd(prev, c) if prev else dict(c)
-        acc = {t: c for t, c in acc.items() if c}
-        while acc:
-            contracted = _contract_group(n, acc)
-            if contracted is None:
-                break
-            acc = contracted
-        out.update(acc)
+    for (a, b), tails in roots.items():
+        for tail, c in _cylinders(n, tails) if len(tails) > 1 else tails.items():
+            if c:
+                out[(a + tail, b + tail)] = c
     return out
 
 
-def _contract_group(n, acc):
-    """One whole-group contraction step, or None if not applicable."""
-    fams = {}
-    for (a, b), c in acc.items():
-        if not a or not b or a[-1] != b[-1]:
-            return None
-        fams.setdefault((a[:-1], b[:-1]), {})[a[-1]] = c
-    out = {}
-    for parent, fam in fams.items():
-        if len(fam) != n:
-            return None
-        ref = fam[1] if 1 in fam else None
-        if ref is None or any(fam[i] != ref for i in range(2, n + 1)):
-            return None
-        out[parent] = ref
+def _cylinders(n, tails):
+    """Maximal cylinders of f = sum_t tails[t] [t], as (gamma, value)
+    for each largest [gamma] on which f is constant and nonzero.
+
+    The trie of all prefixes of the tails is walked twice in order of
+    length, with loops only: down, to sum f along each path, and up,
+    children before parents, to find the nodes on which f is constant.
+    A node that is not constant emits its constant children; a child
+    that is no prefix of a tail carries its parent's sum.
+    """
+    nodes = set()
+    for t in tails:
+        for m in range(len(t), -1, -1):
+            if t[:m] in nodes:
+                break
+            nodes.add(t[:m])
+    order = sorted(nodes, key=len)
+    acc = {}
+    for v in order:
+        c = tails.get(v)
+        up = acc[v[:-1]] if v else {}
+        acc[v] = _cadd(up, c) if c else up
+    out, kids = [], {}
+    for v in reversed(order):
+        value = acc[v]
+        below = kids.pop(v, None)
+        if below is not None:
+            values = [below.get(i, value) for i in range(1, n + 1)]
+            value = values[0]
+            if value is None or any(x != value for x in values[1:]):
+                value = None
+                out.extend((v + (i,), x) for i, x in enumerate(values, 1) if x)
+        if v:
+            kids.setdefault(v[:-1], {})[v[-1]] = value
+        elif value:
+            out.append(((), value))
     return out
 
 
@@ -412,8 +442,9 @@ class Element:
 def shift(x):
     """The canonical inner shift: x -> sum_i S_i x S_i*.
 
-    Built already canonical (see the module docstring); the scalar term
-    stays as it is.
+    Built already canonical: prefixing a letter keeps the cylinders
+    under each root maximal (see the module docstring).  The scalar term
+    stays as it is, since its n images would join back into I.
     """
     letters = [(i,) for i in range(1, x.n + 1)]
     terms = {}
@@ -437,19 +468,15 @@ def left_inverse(x):
 def level_blocks(q, k):
     """The nonzero blocks S_a* q S_b of q over level-k words a, b.
 
-    A block is a term dict keyed by (a, b).  Every term of degree d is
-    first expanded to one beta-length per degree (at least k on both
-    sides), so two blocks of the same q are equal exactly when their
-    dicts are.  The canonical form of q has one beta-length per degree
-    already, so no two terms ever merge.  A block need not be canonical.
+    A block is a term dict, stored under (a, b).  Each term is padded
+    only until both of its indices reach length k.  Padding keeps a
+    term's root and splits its cylinder, so no two terms merge, and the
+    blocks of the canonical q are canonical: two blocks are equal
+    exactly when their dicts are.
     """
-    level = {}
-    for a, b in q.terms:
-        d = len(a) - len(b)
-        level[d] = max(level.get(d, k), k - d, len(b))
     blocks = {}
     for (al, be), c in q.terms.items():
-        for rho in product(range(1, q.n + 1), repeat=level[len(al) - len(be)] - len(be)):
+        for rho in product(range(1, q.n + 1), repeat=max(k - len(al), k - len(be), 0)):
             a, b = al + rho, be + rho
             blocks.setdefault((a[:k], b[:k]), {})[(a[k:], b[k:])] = c
     return blocks
@@ -462,7 +489,7 @@ def shift_preimage(n, blocks):
     z = blocks.get(((1,), (1,)))
     if z is None or len(blocks) != n or any(blocks.get(((i,), (i,))) != z for i in range(2, n + 1)):
         return None
-    return _canonical(n, z.items())
+    return Element(n, z, _normal=True)
 
 
 def diagonal_mean(n, blocks):

@@ -115,28 +115,20 @@ class OverlapGraph:
 
 
 def overlap_classes(profile):
-    """Partition of the betas by chains of prefix-comparable tails."""
-    betas = sorted(profile.betas)
-    parent = list(range(len(betas)))
+    """Partition of the betas by chains of prefix-comparable tails.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(betas)):
-        ti = profile.tails[betas[i]]
-        for j in range(i + 1, len(betas)):
-            tj = profile.tails[betas[j]]
-            m = min(len(ti), len(tj))
-            if ti[:m] == tj[:m]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    In sorted order a tail is followed by its extensions, so one pass
+    puts each tail in the class of the topmost tail it extends.  The
+    tails under each first letter form a complete code, which meets
+    every class, so the classes come out in the order of their least
+    beta.
+    """
     groups = {}
-    for i, b in enumerate(betas):
-        groups.setdefault(find(i), []).append(b)
+    top = None
+    for t, b in sorted((profile.tails[b], b) for b in profile.betas):
+        if top is None or t[:len(top)] != top:
+            top = t
+        groups.setdefault(top, []).append(b)
     classes = {}
     for members in groups.values():
         tails = sorted({profile.tails[b] for b in members})
@@ -324,10 +316,11 @@ def direct_check(w, depth):
 
 
 def monomial_defect(z):
-    """First diagonal block of z whose coefficient c fails c(g)c(1/g) = 1.
+    """First diagonal term of z whose coefficient c fails c(g)c(1/g) = 1.
 
-    None when z is not diagonal or no block fails.  Blocks of the stored
-    canonical form are already mutually orthogonal at a common level.
+    None when z is not diagonal or no term fails.  The terms of a
+    diagonal canonical z are disjoint cylinders under one root, so they
+    are mutually orthogonal projections, each as coarse as it can be.
     """
     if not membership(z, "D"):
         return None

@@ -57,58 +57,32 @@ def is_unitary(x):
 
 
 def _unit_coeff_pairs(x):
-    """The word pairs of the minimal presentation if all coefficients are 1."""
-    pres = minimal_presentation(x)
-    if all(_is_unit_coeff(c) for c in pres.values()):
-        return sorted(pres.keys())
+    """The sorted word pairs of x if all its coefficients are 1."""
+    if all(_is_unit_coeff(c) for c in x.terms.values()):
+        return sorted(x.terms)
     return None
 
 
 def _is_partition_of_unity(n, idxs):
-    """True iff {P_idx} sums to I: prefix-free and covering."""
-    if len(set(idxs)) != len(idxs):
+    """True iff {P_idx} sums to I: prefix-free and covering.
+
+    In sorted order a word is followed at once by its extensions (and
+    its duplicates), so checking adjacent pairs finds any prefix.
+    """
+    idxs = sorted(idxs)
+    if any(b[:len(a)] == a for a, b in zip(idxs, idxs[1:])):
         return False
-    for i, a in enumerate(idxs):
-        for b in idxs[i + 1:]:
-            m = min(len(a), len(b))
-            if a[:m] == b[:m]:
-                return False
     top = max((len(a) for a in idxs), default=0)
     return sum(n ** (top - len(a)) for a in idxs) == n ** top
 
 
 def minimal_presentation(x):
-    """Term dict of x with greedy family contraction applied termwise.
+    """The minimal word presentation of x: a copy of its term dict.
 
-    The stored canonical form expands each degree group to a uniform
-    level; here single complete n-term families (matching last letters,
-    equal coefficients) are re-contracted independently until none is
-    left.  Each term has at most one parent family, so the greedy order
-    does not matter.  This is the minimal word presentation used for
-    sum-of-words recognition.
+    The stored canonical form is already the coarsest presentation, so
+    nothing is contracted here.
     """
-    terms = dict(x.terms)
-    while True:
-        fams = {}
-        for (a, b) in terms:
-            if a and b and a[-1] == b[-1]:
-                fams.setdefault((a[:-1], b[:-1]), []).append((a, b))
-        changed = False
-        for parent, children in fams.items():
-            if len(children) != x.n:
-                continue
-            ref = terms.get(children[0])
-            if ref is None or any(terms.get(ch) != ref for ch in children[1:]):
-                continue
-            if parent in terms:
-                # a parent already present would collide; leave this family
-                continue
-            for ch in children:
-                del terms[ch]
-            terms[parent] = ref
-            changed = True
-        if not changed:
-            return terms
+    return dict(x.terms)
 
 
 @dataclass(frozen=True)
@@ -144,8 +118,8 @@ class IndexPairSet:
 def sum_of_words_profile(x):
     """Validate x as a sum of words and return its IndexPairSet.
 
-    Requires every coefficient in the minimal presentation to be exactly
-    1 (at gauge power 0) and both the alphas and the betas to form
+    Requires every coefficient of the canonical form to be exactly 1 (at
+    gauge power 0) and both the alphas and the betas to form
     partitions of unity.
     """
     pairs = _unit_coeff_pairs(x)

@@ -321,8 +321,9 @@ def _matched_core_unitary(w):
         raise ConstructionNotSupported(
             "corner projection is not a 0/1 diagonal; a rational partial "
             "isometry onto it need not exist")
-    gammas = sorted(a for a, _ in e11.terms)
-    m = len(gammas[0])
+    m = e11.max_level()
+    gammas = sorted(a + rho for a, _ in e11.terms
+                    for rho in product(range(1, n + 1), repeat=m - len(a)))
     targets = sorted((1,) + rho for rho in product(range(1, n + 1), repeat=m - 1))
     if len(gammas) != len(targets):
         raise ConstructionNotSupported(

@@ -1,6 +1,8 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,11 @@ from cuntzcalc.algebra import (
     AlgebraContext,
     ContextMismatch,
     Element,
+    _cadd,
     _canonical,
+    _cconj,
+    _cmul,
+    _cneg,
     _inner_index,
     _probe,
     _product_terms,
@@ -24,7 +30,7 @@ from cuntzcalc.algebra import (
     word_mul,
 )
 from cuntzcalc.endo import gauge, lambda_apply
-from cuntzcalc.exprio import constant, parse, render, to_json
+from cuntzcalc.exprio import constant, from_json, parse, render, to_json
 from cuntzcalc.intertwine import intertwiner_space
 from cuntzcalc.sampling import random_permutation_unitary
 
@@ -155,7 +161,7 @@ def test_large_tower_product_is_unitary():
     from cuntzcalc.exprio import constant
 
     w10 = u_tower(constant("w_cp"), 10)
-    assert len(w10.terms) == 8192
+    assert len(w10.terms) == 6144
     assert (w10.adjoint() * w10).is_identity()
     assert (w10 * w10.adjoint()).is_identity()
 
@@ -194,6 +200,9 @@ def test_expansion_identified():
     fine = word((1, 1), (2, 1)) + word((1, 2), (2, 2))
     assert coarse == fine
     assert coarse.terms == fine.terms
+    # mixed levels: only the maximal cylinders of each value are kept
+    mixed = word((1,), (2,)) + word((1, 1), (2, 1))
+    assert mixed.terms == {((1, 1), (2, 1)): {0: 2}, ((1, 2), (2, 2)): {0: 1}}
 
 
 def test_contraction_collapses_complete_families():
@@ -201,6 +210,8 @@ def test_contraction_collapses_complete_families():
     total = sum((word((i, j), (i, j)) for i in (1, 2) for j in (1, 2)), ZERO)
     assert total == I
     assert total.is_identity()
+    # a family completed across levels contracts all the way up
+    assert (word((1,), (1,)) + word((2, 1), (2, 1)) + word((2, 2), (2, 2))).is_identity()
 
 
 def test_partial_family_stays_expanded():
@@ -208,7 +219,7 @@ def test_partial_family_stays_expanded():
         + word((1, 2), (1, 2)) \
         + word((2,), (2,), gpow=1)
     assert x.max_level() == 2
-    assert len(x.terms) == 4  # P_2 expands to the common level
+    assert len(x.terms) == 3  # P_2 stays one cylinder; {S11, S12} stays uncontracted
     assert sorted(x.degrees()) == [0]
 
 
@@ -216,6 +227,155 @@ def test_mixed_degree_groups_are_independent():
     x = word((1,)) + word((1,), (2, 1))
     assert sorted(x.degrees()) == [-1, 1]
     assert x.max_level() == 2
+
+
+# -- the coarsest form against the uniform-level oracle ----------------------
+#
+# The previous canonical form, kept as the reference: every degree group
+# expanded to one beta-length, contracted as a whole group, and then
+# re-contracted family by family.
+
+def _uniform_normal_form(n, raw):
+    """Canonical term dict from an iterable of ((alpha, beta), coeffdict)."""
+    groups = {}
+    for t, c in raw:
+        if not c:
+            continue
+        groups.setdefault(word_degree(t), []).append((t, c))
+    out = {}
+    for items in groups.values():
+        target = max(len(t[1]) for t, _ in items)
+        acc = {}
+        for (a, b), c in items:
+            grow = target - len(b)
+            if grow == 0:
+                tails = ((),)
+            else:
+                tails = product(range(1, n + 1), repeat=grow)
+            for suf in tails:
+                key = (a + suf, b + suf)
+                prev = acc.get(key)
+                acc[key] = _cadd(prev, c) if prev else dict(c)
+        acc = {t: c for t, c in acc.items() if c}
+        while acc:
+            contracted = _contract_group(n, acc)
+            if contracted is None:
+                break
+            acc = contracted
+        out.update(acc)
+    return out
+
+
+def _contract_group(n, acc):
+    """One whole-group contraction step, or None if not applicable."""
+    fams = {}
+    for (a, b), c in acc.items():
+        if not a or not b or a[-1] != b[-1]:
+            return None
+        fams.setdefault((a[:-1], b[:-1]), {})[a[-1]] = c
+    out = {}
+    for parent, fam in fams.items():
+        if len(fam) != n:
+            return None
+        ref = fam[1] if 1 in fam else None
+        if ref is None or any(fam[i] != ref for i in range(2, n + 1)):
+            return None
+        out[parent] = ref
+    return out
+
+
+def _greedy_presentation(x):
+    """Term dict of x with greedy family contraction applied termwise."""
+    terms = dict(x.terms)
+    while True:
+        fams = {}
+        for (a, b) in terms:
+            if a and b and a[-1] == b[-1]:
+                fams.setdefault((a[:-1], b[:-1]), []).append((a, b))
+        changed = False
+        for parent, children in fams.items():
+            if len(children) != x.n:
+                continue
+            ref = terms.get(children[0])
+            if ref is None or any(terms.get(ch) != ref for ch in children[1:]):
+                continue
+            if parent in terms:
+                # a parent already present would collide; leave this family
+                continue
+            for ch in children:
+                del terms[ch]
+            terms[parent] = ref
+            changed = True
+        if not changed:
+            return terms
+
+
+def reference_terms(n, raw):
+    return _greedy_presentation(Element(n, _uniform_normal_form(n, raw), _normal=True))
+
+
+def random_raw(rng, n, top):
+    """Raw terms of lengths 0..top, some as complete equal families (one
+    member split again, the parent term added with another coefficient
+    or its negative)."""
+    raw = []
+    for _ in range(rng.randint(0, 5)):
+        a = tuple(rng.randint(1, n) for _ in range(rng.randint(0, top)))
+        b = tuple(rng.randint(1, n) for _ in range(rng.randint(0, top)))
+        c = {rng.randint(-1, 1): Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))}
+        if rng.random() < 0.5:
+            family = [(a + (i,), b + (i,)) for i in range(1, n + 1)]
+            if rng.random() < 0.5:
+                a2, b2 = family.pop(rng.randrange(n))
+                family += [(a2 + (i,), b2 + (i,)) for i in range(1, n + 1)]
+            raw += [(t, c) for t in family]
+            if rng.random() < 0.5:
+                raw.append(((a, b), _cneg(c) if rng.random() < 0.5 else {0: 1}))
+        else:
+            raw.append(((a, b), c))
+    return raw
+
+
+def raw_product(xs, ys):
+    return [(t, _cmul(cx, cy)) for tx, cx in xs for ty, cy in ys
+            if (t := word_mul(tx, ty)) is not None]
+
+
+def test_terms_match_the_uniform_level_oracle():
+    rng = random.Random(15)
+    shapes = Counter()
+    for n, top in ((2, 3), (3, 2), (4, 2)):
+        for _ in range(120):
+            xs, ys = random_raw(rng, n, top), random_raw(rng, n, top)
+            x, y = Element(n, xs), Element(n, ys)
+            cases = [(x, xs), (y, ys), (x * y, raw_product(xs, ys)), (x + y, xs + ys),
+                     (x - y, xs + [(t, _cneg(c)) for t, c in ys]),
+                     (x.adjoint(), [((b, a), _cconj(c)) for (a, b), c in xs])]
+            for z, raw in cases:
+                assert z.terms == reference_terms(n, raw)
+                assert parse(render(z), n) == z
+                assert from_json(to_json(z)) == z
+                levels = {(word_degree(t), len(t[1])) for t in z.terms}
+                shapes["mixed"] += len(levels) > len({d for d, _ in levels})
+                for k in (1, 2):
+                    for block in level_blocks(z, k).values():
+                        assert _canonical(n, block.items()).terms == block
+    assert shapes["mixed"] > 100
+
+
+@pytest.mark.parametrize("k", [16, 30, 1500])
+def test_projection_plus_identity_stays_k_plus_one_terms(k):
+    # deeper than the recursion limit at k = 1500; 2^k terms when expanded
+    p = word((1,) * k, (1,) * k)
+    x = I + p
+    assert len(x.terms) == k + 1
+    steps = {(1,) * j + (2,): {0: 1} for j in range(k)}
+    assert x.terms == {**{(a, a): c for a, c in steps.items()}, ((1,) * k, (1,) * k): {0: 2}}
+    if k <= 30:
+        start = time.perf_counter()
+        square = x * x
+        assert time.perf_counter() - start < 1
+        assert square == I + p.scale(3)
 
 
 def test_zero_and_subtraction():

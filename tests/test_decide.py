@@ -34,6 +34,7 @@ from cuntzcalc.exprio import W_CP_OVERLAP, render, resolve
 from cuntzcalc.sampling import (
     permutation_unitary,
     random_labeled_digraph,
+    random_prefix_code,
     random_permutation_unitary,
     random_sum_of_words_unitary,
 )
@@ -58,6 +59,47 @@ def test_overlap_classes():
     assert len(w0_classes) == 1  # the empty tail chains to everything
     wcp_classes = overlap_classes(sum_of_words_profile(W_CP))
     assert sorted(wcp_classes) == sorted(W_CP_OVERLAP["labels"])
+    rng = random.Random(12)
+    sizes = set()
+    for n in (2, 3):
+        for _ in range(100):
+            betas = random_prefix_code(n, rng, rng.randint(2, 12))
+            profile = IndexPairSet(n, tuple(zip(rng.sample(betas, len(betas)), betas)))
+            classes = overlap_classes(profile)
+            assert list(classes.items()) == list(_union_find_classes(profile).items())
+            sizes.add(len(classes))
+    assert len(sizes) >= 5
+
+
+def _union_find_classes(profile):
+    """The previous definition: union-find over prefix-comparable tails."""
+    betas = sorted(profile.betas)
+    parent = list(range(len(betas)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(betas)):
+        ti = profile.tails[betas[i]]
+        for j in range(i + 1, len(betas)):
+            tj = profile.tails[betas[j]]
+            m = min(len(ti), len(tj))
+            if ti[:m] == tj[:m]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i, b in enumerate(betas):
+        groups.setdefault(find(i), []).append(b)
+    classes = {}
+    for members in groups.values():
+        tails = sorted({profile.tails[b] for b in members})
+        name = ",".join("".join(map(str, t)) if t else "0" for t in tails)
+        classes[name] = tuple(sorted(members))
+    return classes
 
 
 def test_w_cp_graph_matches_table():

@@ -9,6 +9,7 @@ from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
     IndexPairSet,
     NotSumOfWords,
+    _is_partition_of_unity,
     compose,
     gauge,
     is_unitary,
@@ -20,7 +21,7 @@ from cuntzcalc.endo import (
     u_tower,
 )
 from cuntzcalc.exprio import constant, resolve
-from cuntzcalc.sampling import random_sum_of_words_unitary
+from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
 
 N = 2
 I = Element.identity(N)
@@ -155,6 +156,9 @@ def test_sum_of_words_profile():
     assert len(prof.pairs) == 3
     assert prof.degrees() == [-1, 0, 1]
     assert prof.n_covering_holds()
+    # one word given split across levels profiles as the same family
+    split = resolve("S11 S111* + S12 S112* + S21 S12* + S22 S2*", 2)
+    assert sum_of_words_profile(split).pairs == prof.pairs
     # halves recombine to the identity, which profiles at level 1
     agg = sum_of_words_profile(I.scale(Fraction(1, 2)) + I.scale(Fraction(1, 2)))
     assert agg.pairs == (((1,), (1,)), ((2,), (2,)))
@@ -167,6 +171,40 @@ def test_sum_of_words_profile():
         + word((2,), (1,), -s) + word((2,), (2,), c)
     with pytest.raises(NotSumOfWords):
         sum_of_words_profile(rot)
+
+
+def _pairwise_partition_of_unity(n, idxs):
+    """The previous definition: pairwise prefix scan, then covering."""
+    if len(set(idxs)) != len(idxs):
+        return False
+    for i, a in enumerate(idxs):
+        for b in idxs[i + 1:]:
+            m = min(len(a), len(b))
+            if a[:m] == b[:m]:
+                return False
+    top = max((len(a) for a in idxs), default=0)
+    return sum(n ** (top - len(a)) for a in idxs) == n ** top
+
+
+def test_partition_of_unity_matches_pairwise_oracle():
+    rng = random.Random(8)
+    verdicts = set()
+    for n in (2, 3, 4):
+        for _ in range(150):
+            code = random_prefix_code(n, rng, rng.randint(0, 6))
+            a = rng.choice(code)
+            spoilt = [code, code + [a], code[1:], code + [a + (1,)], code + [a[:-1]],
+                      [b for b in code if b != a] + [a + (i,) for i in range(1, n)]]
+            # an extension of a in place of a word one letter longer
+            # keeps the covering sum
+            spoilt += [[b for b in code if b != d] + [a + (1,)]
+                       for d in code if len(d) == len(a) + 1][:1]
+            for idxs in spoilt:
+                rng.shuffle(idxs)
+                want = _pairwise_partition_of_unity(n, idxs)
+                assert _is_partition_of_unity(n, idxs) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- towers and endomorphisms ------------------------------------------------

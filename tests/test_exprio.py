@@ -88,6 +88,7 @@ def test_render_canonical_shapes():
     assert render(Element.zero(N)) == "0"
     assert render(Element.identity(N)) == "I"
     assert render(word((1,), (2,), -1)) == "-S1 S2*"
+    assert render(word(()) + word((1, 1), (1, 1))) == "2 S11 S11* + S12 S12* + S2 S2*"
     assert render(word((), (), Fraction(1, 2), 1) + word((1, 2))) == \
         "1/2 g^1 I + S12"
     x = word((2,), (1,)) - word((1,), (2,), 3)
