@@ -14,9 +14,9 @@ Three routes:
            where phihat is the left inverse of the shift, with cycle
            detection.  Step k is valid iff the argument lies in the
            shift's range, which happens iff the endomorphism preserves
-           all matrix units of level k.  A repeated state proves validity
-           forever (the states live in a fixed finite-dimensional
-           diagonal algebra), so this route can certify as well as refute.
+           all matrix units of level k.  A repeated state certifies: the
+           recursion is deterministic, so every later state repeats one
+           that passed.  States with terms of degree +-1 may never repeat.
 
   graph    for sums of words with degrees in {-1, 0, +1}: build the labeled
            overlap digraph of beta-tails and decide the path condition

@@ -13,10 +13,12 @@ reads u shift(S_a S_b*) u* = sum_i A_{ia} A_{ib}* with A_c = u S_c, so
 each factor A_c (and its adjoint) is formed once, the adjoint is
 indexed by inner index once (algebra._inner_index) so that each of the
 n products per word only probes that index, and the raw product terms
-go straight into sparse coordinates at one beta-length per degree, with
-no normal form.  Every basis vector is then re-checked as
-u shift(b) u* == b in the Element arithmetic, which does not use that
-map.
+go straight into sparse coordinates, with no normal form.  One padding
+rule (_coordinates) serves the defects and membership, and one pivot
+loop (_eliminate) extracts the kernel.  A kernel vector is 1 at its own
+free column and 0 at every other, so a member's coefficients are its
+coordinates there.  Every basis vector is re-checked as
+u shift(b) u* == b in the Element arithmetic, which does not use that map.
 """
 
 from dataclasses import dataclass
@@ -95,37 +97,45 @@ def normalizer_cocycle_check(w):
 # ---------------------------------------------------------------------------
 # bounded-level intertwiner spaces
 
+def _span_profile(L):
+    """Beta-length per degree of the spanning words of Span_L."""
+    return {d: L - max(d, 0) for d in range(-L, L + 1)}
+
+
 def _span_words(n, L):
     """Independent spanning words of Span_L = span{S_a S_b* : |a|,|b| <= L},
     stratified by degree: each degree-d stratum uses the maximal length
     profile, so the listed words form a linear basis."""
-    words = []
-    for d in range(-L, L + 1):
-        la, lb = (L, L - d) if d >= 0 else (L + d, L)
-        for a in product(range(1, n + 1), repeat=la):
-            for b in product(range(1, n + 1), repeat=lb):
-                words.append((a, b))
-    return words
+    return [(a, b) for d, lb in _span_profile(L).items()
+            for a in product(range(1, n + 1), repeat=lb + d)
+            for b in product(range(1, n + 1), repeat=lb)]
+
+
+def _tails(n, m):
+    """Padding tails: entry p lists the n^p words of length p, for p <= m."""
+    return [list(product(range(1, n + 1), repeat=p)) for p in range(m + 1)]
 
 
 def _coordinates(raw, lam, pads):
     """Sparse coordinates of the sum of raw terms at beta-lengths lam[d].
 
-    Every term of degree d is padded by the Cuntz relation out to
-    beta-length lam[d] (at least its own), with the tails pads[p] of
-    length p; at one beta-length per degree the words are independent,
-    so the summed, nonzero entries are the coordinates of the element
-    itself.  Rows are keyed (degree, beta, alpha).  The sums must be
-    plain rationals (gauge degree zero); single raw terms may carry
-    g-powers that cancel.
+    The one padding rule: each term of degree d is padded by the Cuntz
+    relation out to beta-length lam[d] with the tails pads[p] of length
+    p, and raises ValueError if d is not in lam or its beta is longer.
+    At one beta-length per degree the words are independent, so the
+    summed, nonzero entries are the coordinates of the element itself.
+    Rows are keyed (degree, beta, alpha).  Sums must be plain rationals
+    (gauge degree zero); single raw terms may carry g-powers that cancel.
     """
     vec, twisted = {}, {}
     for (a, b), c in raw:
         d = len(a) - len(b)
-        tails = pads[lam[d] - len(b)]
+        p = lam.get(d, -1) - len(b)
+        if p < 0:
+            raise ValueError(f"term of degree {d} and beta-length {len(b)} lies outside the window")
         for m, q in c.items():
             acc = twisted.setdefault(m, {}) if m else vec
-            for rho in tails:
+            for rho in pads[p]:
                 row = (d, b + rho, a + rho)
                 acc[row] = acc.get(row, 0) + q
     if any(any(acc.values()) for acc in twisted.values()):
@@ -152,6 +162,22 @@ def _axpy(dst, factor, src):
             dst.pop(k, None)
 
 
+def _eliminate(pivots, vec, comb):
+    """Reduce vec by pivots {lead: (rest, comb) / lead}, least key leading,
+    carrying comb along; store vec's new pivot and return None, or return
+    the combination that reduces vec to zero."""
+    while vec:
+        k = min(vec)
+        f = vec.pop(k)
+        if k not in pivots:
+            pivots[k] = (_scaled(vec, f), _scaled(comb, f))
+            return None
+        pv, pc = pivots[k]
+        _axpy(vec, f, pv)
+        _axpy(comb, f, pc)
+    return comb
+
+
 @dataclass(frozen=True)
 class SpanBasisReport:
     """Exact basis of {x in Span_L : x = u shift(x) u*}."""
@@ -160,45 +186,27 @@ class SpanBasisReport:
     dimension: int
     basis: tuple
     _words: tuple
-    _leads: dict  # leading column -> kernel combination over _words
+    _leads: dict  # free column -> kernel combination over the pivot columns of _words
 
     def coefficients_of(self, x):
         """Expansion coefficients of x over the basis, or None when x is
-        not in the space."""
-        L = self.level
-        col = {w: j for j, w in enumerate(self._words)}
-        vec = {}
-        for (a, b), c in x.terms.items():
-            if set(c) != {0}:
-                return None
-            d = len(a) - len(b)
-            if not -L <= d <= L:
-                return None
-            la, lb = (L, L - d) if d >= 0 else (L + d, L)
-            pad = lb - len(b)
-            if pad < 0:
-                return None
-            for rho in product(range(1, x.n + 1), repeat=pad):
-                vec[col[(a + rho, b + rho)]] = c[0]
-        coeffs = {}
-        while vec:
-            j = max(vec)
-            comb = self._leads.get(j)
-            if comb is None:
-                return None
-            f = vec.pop(j)
-            coeffs[j] = f
-            _axpy(vec, f, comb)
-        return [coeffs.get(j, 0) for j in sorted(self._leads)]
+        not in the space: x's Span_L coordinates at the free columns (the
+        keys of _leads), checked by exact reconstruction."""
+        self.basis[0]._require_same(x)
+        n, L = x.n, self.level
+        try:
+            vec = _coordinates(x.terms.items(), _span_profile(L), _tails(n, L))
+        except ValueError:
+            return None
+        free = [self._words[j] for j in self._leads]
+        coeffs = [vec.get((len(a) - len(b), b, a), 0) for a, b in free]
+        raw = [(t, {m: p * q for m, p in c.items()})
+               for q, e in zip(coeffs, self.basis) if q for t, c in e.terms.items()]
+        return coeffs if _canonical(n, raw) == x else None
 
     def contains(self, x):
-        """Whether x lies in the space; reconstruction is checked exactly."""
-        coeffs = self.coefficients_of(x)
-        if coeffs is None:
-            return False
-        raw = [(t, {m: p * q for m, p in c.items()})
-               for q, b in zip(coeffs, self.basis) if q for t, c in b.terms.items()]
-        return _canonical(x.n, raw) == x
+        """Whether x lies in the space."""
+        return self.coefficients_of(x) is not None
 
 
 def intertwiner_space(u, L):
@@ -207,11 +215,12 @@ def intertwiner_space(u, L):
     Exact rational null-space computation.  Every spanning word S_a S_b*
     is mapped through the fixed-point defect T(x) - x, as the raw terms
     of sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
-    u S_c, each adjoint indexed once as a right factor.  Coordinates are
-    taken at the largest raw beta-length per degree, padded with tails
-    built once per call, and sparse Gaussian elimination with combination
-    tracking extracts the kernel.  Each basis vector is re-verified as a
-    fixed point through Element products.
+    u S_c, each adjoint indexed once as a right factor.  _coordinates
+    pads the terms to the largest raw beta-length per degree, and
+    _eliminate reduces each column in turn; a column that reduces to
+    zero is free, and its combination is a kernel vector (1 there, 0 at
+    every other free column: what coefficients_of reads).  Each basis
+    vector is re-verified as a fixed point through Element products.
     """
     if not is_unitary(u):
         raise ValueError("intertwiner spaces need a unitary u")
@@ -241,23 +250,13 @@ def intertwiner_space(u, L):
         for (a, b), _ in raw:
             d = len(a) - len(b)
             lam[d] = max(lam.get(d, 0), len(b))
-    pads = [list(product(range(1, n + 1), repeat=p)) for p in range(max(lam.values()) + 1)]
+    pads = _tails(n, max(lam.values()))
 
-    pivots = {}  # leading row -> (rest of the vector, combination), both divided by the lead
-    kernel = {}  # column j -> kernel combination over columns <= j, with coefficient 1 at j
+    pivots = {}
+    kernel = {}  # free column j -> kernel combination, with coefficient 1 at j
     for j, raw in enumerate(raws):
-        vec = _coordinates(raw, lam, pads)
-        comb = {j: 1}
-        while vec:
-            k = min(vec)
-            f = vec.pop(k)
-            if k not in pivots:
-                pivots[k] = (_scaled(vec, f), _scaled(comb, f))
-                break
-            pv, pc = pivots[k]
-            _axpy(vec, f, pv)
-            _axpy(comb, f, pc)
-        else:
+        comb = _eliminate(pivots, _coordinates(raw, lam, pads), {j: 1})
+        if comb is not None:
             kernel[j] = comb
 
     basis = tuple(Element(n, [(words[kk], {0: q}) for kk, q in comb.items()])

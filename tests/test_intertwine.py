@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cuntzcalc.algebra import Element, membership, phi_preimage
+from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
     NotSumOfWords,
     compose,
@@ -167,6 +167,18 @@ def test_space_coefficients_reconstruct():
     assert is_self_intertwiner(U_CP, combo)
     assert rep.coefficients_of(Element.gen(N, 1)) is None
     assert rep.coefficients_of(Element.gen(N, 1).scale(1, gpow=2)) is None
+    # outside the level-2 window: degree 3, and a degree-0 word too long
+    assert rep.coefficients_of(resolve("S111", N)) is None
+    assert rep.coefficients_of(resolve("S111 S111*", N)) is None
+
+
+def test_space_membership_rejects_mixed_n():
+    rep = intertwiner_space(U_CP, 1)
+    for x in (Element(3, {((3,), (3,)): {0: 1}}), Element.identity(3)):
+        with pytest.raises(ContextMismatch):
+            rep.contains(x)
+        with pytest.raises(ContextMismatch):
+            rep.coefficients_of(x)
 
 
 def test_space_degenerate_levels():
@@ -269,6 +281,17 @@ def test_space_matches_the_element_oracle():
         dim, basis, leads = oracle_space(u, L)
         assert (rep.dimension, rep.basis, rep._leads) == (dim, basis, leads)
         dims.append(dim)
+        # a seeded integer combination reads back its integers
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        member = Element.zero(u.n)
+        for q, b in zip(coeffs, basis):
+            member = member + b.scale(q)
+        assert rep.coefficients_of(member) == coeffs
+        # the same entries at every free column, but off at a pivot column
+        pivot_columns = sorted(set(range(len(rep._words))) - set(leads))
+        if pivot_columns:
+            a, b = rep._words[rng.choice(pivot_columns)]
+            assert rep.coefficients_of(member + Element(u.n, {(a, b): {0: 1}})) is None
     # not only the scalars: u_cp reaches 21 at level 3
     assert max(dims) == 21
 
