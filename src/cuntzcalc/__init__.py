@@ -3,10 +3,8 @@ O_n: canonical forms, the endomorphism calculus of unitaries, and
 decision procedures for preservation of the core UHF subalgebra."""
 
 from .algebra import (
-    AlgebraContext,
     ContextMismatch,
     Element,
-    gauge_expectation,
     membership,
     phi_preimage,
     word_degree,
@@ -35,7 +33,6 @@ from .decide import (
 from .endo import (
     IndexPairSet,
     NotSumOfWords,
-    compose,
     gauge,
     is_unitary,
     lambda_apply,
@@ -64,7 +61,6 @@ from .intertwine import (
     coboundary_witness,
     intertwiner_space,
     is_self_intertwiner,
-    normalizer_cocycle_check,
     perturb,
 )
 

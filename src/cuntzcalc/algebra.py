@@ -45,10 +45,11 @@ exactly the surviving pairs (_probe).  A caller that multiplies by the
 same factor many times keeps its index.  Coefficient dicts may be shared
 between Elements and are never mutated in place.
 
-Letters are checked once, where words enter from outside: the public
-constructor Element(n, raw), Element.word, and through them the parser
-and from_json.  Products, sums, shift and left_inverse build their terms
-from words of existing Elements and normalise them unchecked.
+n (an int in 2..9, as letters are digits), letters and gauge powers
+(ints) are checked once, where they enter from outside: by Element(n,
+raw), through it by word, the parser and from_json, and by Element.zero
+and identity (n only).  Products, sums, shift and left_inverse build
+their terms from words of existing Elements and normalise them unchecked.
 
 Shift: prefixing one letter i to both indices of every term of a
 canonical x keeps the tails under each root, except where a root index
@@ -70,7 +71,6 @@ mean of the n diagonal blocks is the left inverse (1/n) sum_i S_i* x S_i
 of the shift (diagonal_mean).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -79,21 +79,15 @@ class ContextMismatch(ValueError):
     """Raised when two Elements over different n are combined."""
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
-    """Number of generators; letters are single digits, so 2 <= n <= 9."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not 2 <= self.n <= 9:
-            raise ValueError(f"number of generators must be an int in 2..9, got {self.n!r}")
+def _check_n(n):
+    if not isinstance(n, int) or not 2 <= n <= 9:
+        raise ValueError(f"number of generators must be an int in 2..9, got {n!r}")
 
 
-def _ctx_n(ctx):
-    if isinstance(ctx, AlgebraContext):
-        return ctx.n
-    return AlgebraContext(ctx).n
+def _check_powers(powers):
+    for m in powers:
+        if type(m) is not int:
+            raise ValueError(f"gauge powers must be ints, got {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +311,11 @@ class Element:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, ctx, raw=(), _normal=False):
-        n = _ctx_n(ctx)
+    def __init__(self, n, raw=(), _normal=False):
         if _normal:
             terms = raw if isinstance(raw, dict) else dict(raw)
         else:
+            _check_n(n)
             pairs = raw.items() if isinstance(raw, dict) else raw
             checked = []
             for t, c in pairs:
@@ -329,6 +323,7 @@ class Element:
                 _check_letters(n, a)
                 _check_letters(n, b)
                 c = {m: _exact(q) for m, q in c.items() if q} if isinstance(c, dict) else _coeff(c)
+                _check_powers(c)
                 checked.append(((a, b), c))
             terms = _normal_form(n, checked)
         object.__setattr__(self, "n", n)
@@ -340,21 +335,23 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(ctx):
-        return Element(ctx, {}, _normal=True)
+    def zero(n):
+        _check_n(n)
+        return Element(n, {}, _normal=True)
 
     @staticmethod
-    def identity(ctx):
-        return Element(ctx, {((), ()): _coeff(1)}, _normal=True)
+    def identity(n):
+        _check_n(n)
+        return Element(n, {((), ()): _coeff(1)}, _normal=True)
 
     @staticmethod
-    def word(ctx, alpha, beta=(), coeff=1, gpow=0):
-        return Element(ctx, [((tuple(alpha), tuple(beta)), _coeff(coeff, gpow))])
+    def word(n, alpha, beta=(), coeff=1, gpow=0):
+        return Element(n, [((tuple(alpha), tuple(beta)), _coeff(coeff, gpow))])
 
     @staticmethod
-    def gen(ctx, i):
+    def gen(n, i):
         """The generator S_i."""
-        return Element.word(ctx, (i,))
+        return Element.word(n, (i,))
 
     # -- basic predicates ---------------------------------------------------
 
@@ -411,6 +408,7 @@ class Element:
 
     def scale(self, q, gpow=0):
         """Multiply by the scalar q * g^gpow."""
+        _check_powers((gpow,))
         q = Fraction(q)
         if not q:
             return Element.zero(self.n)
@@ -535,11 +533,3 @@ def membership(x, target, k=None):
         return phi_preimage(x, k) is not None
     raise ValueError(f"unknown membership target {target!r}")
 
-
-def gauge_expectation(x):
-    """Keep the degree-0 terms, coefficients restricted to the g^0 part."""
-    raw = {}
-    for t, c in x.terms.items():
-        if word_degree(t) == 0 and 0 in c:
-            raw[t] = {0: c[0]}
-    return _canonical(x.n, raw.items())

@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
-from .algebra import ContextMismatch, Element, membership
+from .algebra import ContextMismatch, left_inverse, membership
 from .decide import (
     NOT_PRESERVES,
     PRESERVES,
@@ -27,7 +27,7 @@ from .decide import (
     export_dot,
     path_condition,
 )
-from .endo import NotSumOfWords, gauge, is_unitary, lambda_apply, left_inverse, sum_of_words_profile
+from .endo import NotSumOfWords, gauge, is_unitary, lambda_apply, sum_of_words_profile
 from .exprio import CONSTANT_NAMES, ParseError, constant, render, resolve, to_json
 from .intertwine import (
     PreconditionFailed,
@@ -286,13 +286,14 @@ def _search_one(payload):
 
 def _cmd_search(args):
     n = args.n
+    if args.k < 0:
+        raise ValueError("--k must be >= 0")
     size = n ** args.k
     level = 2 if args.level is None else args.level
     if args.samples is None:
-        if args.k > 3:
-            print("error: exhaustive search is limited to k <= 3; pass --samples",
-                  file=sys.stderr)
-            return 3
+        # n^k words have (n^k)! permutations: 8! = 40,320 is the most listed
+        if size > 8:
+            raise ValueError("exhaustive search is limited to n^k <= 8 words; pass --samples")
         perms = list(permutations(range(size)))
     else:
         rng = random.Random(args.seed)
@@ -384,7 +385,7 @@ def build_parser():
     add("verify-examples", _cmd_verify, "verify all built-in example claims")
     p = add("search", _cmd_search, "survey permutation unitaries at level k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, help="sample count (required for k > 3)")
+    p.add_argument("--samples", type=int, help="sample count (required for n^k > 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=int, help="intertwiner space level (default 2)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at most the CPU count)")

@@ -36,7 +36,7 @@ lambda(S_a) = u_k S_a of the level-k words row by row instead.
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Element, diagonal_mean, membership
+from .algebra import Element, _cconj, _cmul, diagonal_mean, membership
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -173,7 +173,7 @@ def build_overlap_graph(profile):
     return OverlapGraph(profile.n, classes, label, tuple(sorted(edges)))
 
 
-def path_condition(graph, max_depth=None):
+def path_condition(graph):
     """Whether all same-length paths from any vertex end at equal labels.
 
     Decided by breadth-first search on unordered vertex pairs stepping
@@ -186,8 +186,6 @@ def path_condition(graph, max_depth=None):
     depth = 0
     origin = {(v, v): v for v in graph.vertices}
     while frontier:
-        if max_depth is not None and depth >= max_depth:
-            break
         depth += 1
         nxt = set()
         # sorted scan keeps the reported certificate hash-seed independent
@@ -293,7 +291,7 @@ def matrix_unit_witness(w, k):
     and the witness comes from the images of the level-k words.  w must
     be unitary: a failing level with no failing unit raises ValueError.
     """
-    for j, _, z, blocks in agreement(w, gauge(w), k):
+    for j, z, blocks in agreement(w, gauge(w), k):
         if z is None:
             x = _failing_unit(w.n, k, blocks) if j == k else _scanned_unit(w, k)
             if x is None:
@@ -302,11 +300,12 @@ def matrix_unit_witness(w, k):
     return None
 
 
+# a function of its own only because bench/tracer.py times it by name
 def direct_check(w, depth):
     """Exact level-by-level refutation up to depth; UNDECIDED when clean."""
     if not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
-    for k, _, z, blocks in agreement(w, gauge(w), depth):
+    for k, z, blocks in agreement(w, gauge(w), depth):
         if z is None:
             x = _failing_unit(w.n, k, blocks)
             cert = {"image": render(lambda_apply(w, x, check_unitary=False))}
@@ -325,16 +324,7 @@ def monomial_defect(z):
     if not membership(z, "D"):
         return None
     for (a, _), c in sorted(z.terms.items()):
-        prod = {}
-        for m1, q1 in c.items():
-            for m2, q2 in c.items():
-                m = m1 - m2
-                s = prod.get(m, 0) + q1 * q2
-                if s:
-                    prod[m] = s
-                else:
-                    prod.pop(m, None)
-        if prod != {0: 1}:
+        if _cmul(c, _cconj(c)) != {0: 1}:
             return a, c
     return None
 
@@ -365,7 +355,7 @@ def cocycle_run(w, depth):
         raise ValueError("preservation decisions need a unitary input")
     cocycles = []
     seen = {Element.identity(w.n): 0}
-    for k, _, zt, blocks in agreement(w, gauge(w), depth):
+    for k, zt, blocks in agreement(w, gauge(w), depth):
         if zt is None:
             z = diagonal_mean(w.n, blocks)  # the certificate shows the failed unshift
             cert = _with_defect({"cocycle": render(z)}, z)
@@ -391,6 +381,8 @@ def decide_preserves(w, method="auto", depth=16):
     """
     if method not in ("auto", "graph", "cocycle", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
 
     if method == "direct":
         return direct_check(w, depth)
@@ -420,7 +412,7 @@ def _graph_decision(w):
         graph = build_overlap_graph(profile)
     except Psi1NotConstant as bad:
         # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
-        ((_, _, _, blocks),) = agreement(w, gauge(w), 1)
+        ((_, _, blocks),) = agreement(w, gauge(w), 1)
         cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
                             diagonal_mean(w.n, blocks))
         return _refutation("graph", 1, _failing_unit(w.n, 1, blocks), cert)

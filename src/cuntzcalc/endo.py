@@ -1,6 +1,7 @@
 """Gauge action, unitarity, and the endomorphisms attached to unitaries.
 
-The shift and its left inverse live in algebra and are re-exported here.
+The shift and its left inverse (from algebra) are re-exported, and u_tower
+and minimal_presentation kept, because bench/tracer.py looks them up here.
 
 Every unitary u determines a unital *-endomorphism lambda mapping S_i to
 u S_i.  On a word it acts as lambda(S_a S_b*) = lambda(S_a) lambda(S_b)*,
@@ -15,13 +16,14 @@ range; with v = gauge(w) that is preservation of the core.  Above the
 first failing level, which the recursion does not reach,
 decide.matrix_unit_witness reads its witness from the images
 lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
-which has about n^k terms; u_tower stays public as a reference.
+which has about n^k terms.
 """
 
 from dataclasses import dataclass, field
 
-from .algebra import Element, _canonical, _cmul, _is_unit_coeff, _product_terms, word_degree
-from .algebra import level_blocks, shift_preimage
+from .algebra import Element, _canonical, _check_powers, _cmul, _is_unit_coeff, _product_terms
+from .algebra import level_blocks, shift_preimage, word_degree
+# re-exported for bench/tracer.py, which wraps endo.shift and endo.left_inverse
 from .algebra import left_inverse, shift  # noqa: F401
 
 
@@ -31,6 +33,7 @@ class NotSumOfWords(ValueError):
 
 def gauge(x, power=1):
     """Gauge action: scale each term by g^(power * degree)."""
+    _check_powers((power,))
     raw = {}
     for t, c in x.terms.items():
         d = word_degree(t) * power
@@ -80,7 +83,7 @@ def minimal_presentation(x):
     """The minimal word presentation of x: a copy of its term dict.
 
     The stored canonical form is already the coarsest presentation, so
-    nothing is contracted here.
+    nothing is contracted here.  Kept only for bench/tracer.py.
     """
     return dict(x.terms)
 
@@ -105,14 +108,6 @@ class IndexPairSet:
 
     def degrees(self):
         return sorted({len(a) - len(b) for a, b in self.pairs})
-
-    def n_covering_holds(self):
-        """sum_beta P_{beta-tilde} == n * I as an exact Element identity."""
-        total = Element.zero(self.n)
-        for b in self.betas:
-            t = self.tails[b]
-            total = total + Element.word(self.n, t, t)
-        return total == Element.identity(self.n).scale(self.n)
 
 
 def sum_of_words_profile(x):
@@ -141,7 +136,8 @@ def sum_of_words_profile(x):
 # Towers and the endomorphism action
 
 def u_tower(u, k, _cache=None):
-    """u_k = u phi(u) ... phi^{k-1}(u), computed as u * shift(u_{k-1})."""
+    """u_k = u phi(u) ... phi^{k-1}(u), computed as u * shift(u_{k-1});
+    the tests' reference for the tower, kept public for bench/tracer.py."""
     if k < 0:
         raise ValueError("tower index must be >= 0")
     if _cache is None:
@@ -196,24 +192,19 @@ def lambda_apply(u, x, check_unitary=True):
 def agreement(w, v, depth):
     """The recursion y_k = w* z_{k-1} v, z_k = phi^-1(y_k) from z_0 = I.
 
-    Yields (k, y_k, z_k, level-1 blocks of y_k) for k = 1..depth and
-    stops after the first level whose y_k leaves the shift's range,
-    where z_k is None.  w and v must be unitaries over the same n.
+    Yields (k, z_k, level-1 blocks of y_k) for k = 1..depth (>= 0) and
+    stops after the first level whose y_k leaves the shift's range, where
+    z_k is None.  w and v must be unitaries over the same n.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     ws = w.adjoint()
     z = Element.identity(w.n)
     for k in range(1, depth + 1):
         y = ws * z * v
         blocks = level_blocks(y, 1)
         z = shift_preimage(y.n, blocks)
-        yield k, y, z, blocks
+        yield k, z, blocks
         if z is None:
             return
 
-
-def compose(u, v):
-    """The unitary whose endomorphism is (endomorphism of u) o (of v)."""
-    for name, y in (("u", u), ("v", v)):
-        if not is_unitary(y):
-            raise ValueError(f"compose needs unitary inputs; {name} is not")
-    return lambda_apply(u, v, check_unitary=False) * u

@@ -25,15 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _canonical, _inner_index, _probe, membership, phi_preimage
-from .endo import (
-    NotSumOfWords,
-    agreement,
-    gauge,
-    is_unitary,
-    shift,
-    sum_of_words_profile,
-)
+from .algebra import Element, _canonical, _inner_index, _probe, membership, phi_preimage, shift
+from .endo import agreement, gauge, is_unitary
 
 
 class PreconditionFailed(ValueError):
@@ -63,7 +56,7 @@ def agree_on_F(v, w, K):
     """
     if not is_unitary(v) or not is_unitary(w):
         raise ValueError("agreement check needs unitary inputs")
-    for k, _, z, _ in agreement(w, v, K):
+    for k, z, _ in agreement(w, v, K):
         if z is None:
             return False, k
     return True, 0
@@ -86,12 +79,6 @@ def perturb(u, v, order="left"):
     if not ok:
         raise RuntimeError(f"internal: perturbation broke core agreement at level {level}")
     return w
-
-
-def normalizer_cocycle_check(w):
-    """Whether w* gauge(w) is diagonal; holds for every sum of words."""
-    sum_of_words_profile(w)
-    return membership(w.adjoint() * gauge(w), "D")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +276,7 @@ def coboundary_witness(w):
     """
     if not is_unitary(w):
         raise ValueError("coboundary witnesses need a unitary w")
-    ((_, _, z1, _),) = agreement(w, gauge(w), 1)
+    ((_, z1, _),) = agreement(w, gauge(w), 1)
     if z1 is None:
         raise PreconditionFailed("the endomorphism already leaves the core at level 1")
     if membership(w, "F"):

@@ -7,7 +7,6 @@ reproducibility; no module-level randomness.
 from itertools import product
 
 from .algebra import Element
-from .decide import OverlapGraph
 
 
 def level_words(n, k):
@@ -72,15 +71,3 @@ def random_sum_of_words_unitary(n, rng, max_splits=3, max_len=4,
         return Element(n, [(p, {0: 1}) for p in pairs])
     return random_permutation_unitary(n, rng.randint(1, 2), rng)
 
-
-def random_labeled_digraph(rng, max_vertices=8, edge_prob=0.3,
-                           labels=(-1, 0, 1)):
-    """Arbitrary labeled digraph wrapped as an OverlapGraph, for
-    exercising the path-condition search away from algebra inputs."""
-    count = rng.randint(1, max_vertices)
-    names = [f"v{i}" for i in range(count)]
-    label = {v: rng.choice(labels) for v in names}
-    edges = tuple(sorted((a, b) for a in names for b in names
-                         if rng.random() < edge_prob))
-    classes = {v: () for v in names}
-    return OverlapGraph(2, classes, label, edges)

@@ -35,11 +35,8 @@ from cuntzcalc.intertwine import (
     intertwiner_space,
     is_self_intertwiner,
 )
-from cuntzcalc.sampling import (
-    random_labeled_digraph,
-    random_permutation_unitary,
-    random_sum_of_words_unitary,
-)
+from cuntzcalc.sampling import random_permutation_unitary, random_sum_of_words_unitary
+from oracles import n_covering_holds, random_labeled_digraph
 
 U_CP = resolve("@u_cp")
 V_CP = resolve("@v_cp")
@@ -185,7 +182,7 @@ def test_criterion_6_property_suites():
         # n-covering invariant of validated profiles
         for _ in range(50):
             w = random_sum_of_words_unitary(2, rng)
-            assert sum_of_words_profile(w).n_covering_holds()
+            assert n_covering_holds(sum_of_words_profile(w))
 
         # diagonality of w* gauge(w) across the sum-of-words family
         for _ in range(200):

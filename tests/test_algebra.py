@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzcalc.algebra import (
-    AlgebraContext,
     ContextMismatch,
     Element,
     _cadd,
@@ -20,7 +19,6 @@ from cuntzcalc.algebra import (
     _probe,
     _product_terms,
     diagonal_mean,
-    gauge_expectation,
     left_inverse,
     level_blocks,
     membership,
@@ -33,6 +31,7 @@ from cuntzcalc.endo import gauge, lambda_apply
 from cuntzcalc.exprio import constant, from_json, parse, render, to_json
 from cuntzcalc.intertwine import intertwiner_space
 from cuntzcalc.sampling import random_permutation_unitary
+from oracles import gauge_expectation
 
 N = 2
 I = Element.identity(N)
@@ -388,12 +387,25 @@ def test_zero_and_subtraction():
 def test_letter_validation_and_context():
     with pytest.raises(ValueError):
         Element(N, {((3,), ()): {0: 1}})
-    with pytest.raises(ValueError):
-        AlgebraContext(1)
-    with pytest.raises(ValueError):
-        AlgebraContext(10)
+    # n is checked where it enters, by every public constructor
+    for n in (1, 10, "2", 2.0):
+        for make in (lambda: Element(n, {}), lambda: Element(n, {((1,), ()): {0: 1}}),
+                     lambda: Element.zero(n), lambda: Element.identity(n),
+                     lambda: Element.word(n, (1,)), lambda: Element.gen(n, 1)):
+            with pytest.raises(ValueError, match="number of generators"):
+                make()
     with pytest.raises(ContextMismatch):
         S1 + Element.gen(3, 1)
+
+
+def test_gauge_powers_must_be_ints():
+    # a float, bool or str power renders as g^0.5 or g^True, which parse rejects
+    for bad in (0.5, True, "1"):
+        for make in (lambda: Element(N, {((1,), (1,)): {bad: 1}}),
+                     lambda: Element.word(N, (1,), gpow=bad),
+                     lambda: S1.scale(1, bad), lambda: gauge(S1, bad)):
+            with pytest.raises(ValueError, match="gauge powers"):
+                make()
 
 
 def test_scalar_interface():

@@ -273,9 +273,12 @@ def test_search_jobs_clamped_to_cpu_count(capsys, monkeypatch):
 
 
 def test_search_guardrails(capsys):
-    code, _, err = run(capsys, "search", "--k", "4")
-    assert code == 3
-    assert "--samples" in err
+    # exhaustive search lists (n^k)! permutations: refused above 8! = 40,320
+    for argv in (("--k", "4"), ("--n", "3", "--k", "3"), ("--n", "3", "--k", "2")):
+        code, _, err = run(capsys, "search", *argv)
+        assert code == 3
+        assert "--samples" in err
+    assert run(capsys, "search", "--k", "-1")[0] == 3
 
 
 # -- error mapping -----------------------------------------------------------
@@ -286,3 +289,10 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "normalize", "@nope")[0] == 3
     assert run(capsys, "preserves-uhf", "--w", "@w_cp", "--method", "psychic")[0] == 3
     assert run(capsys, "eq", "S1")[0] == 3
+    # a negative depth is refused on every route, the graph route (auto) too
+    assert run(capsys, "agree", "--v", W0, "--w", "@w_cp", "--depth", "-1")[0] == 3
+    for method in ("cocycle", "auto"):
+        assert run(capsys, "preserves-uhf", "--w", "@w_cp", "--method", method,
+                   "--depth", "-3")[0] == 3
+    assert run(capsys, "cocycles", "--w", "@w_cp", "--k", "-2")[0] == 3
+    assert run(capsys, "agree", "--v", "@u_cp", "--w", "@w_cp", "--depth", "0")[0] == 0

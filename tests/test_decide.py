@@ -33,11 +33,11 @@ from cuntzcalc.endo import (
 from cuntzcalc.exprio import W_CP_OVERLAP, render, resolve
 from cuntzcalc.sampling import (
     permutation_unitary,
-    random_labeled_digraph,
     random_prefix_code,
     random_permutation_unitary,
     random_sum_of_words_unitary,
 )
+from oracles import random_labeled_digraph
 
 N = 2
 W_CP = resolve("@w_cp")

@@ -7,7 +7,6 @@ import pytest
 from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
     NotSumOfWords,
-    compose,
     gauge,
     is_unitary,
     lambda_apply,
@@ -23,10 +22,10 @@ from cuntzcalc.intertwine import (
     coboundary_witness,
     intertwiner_space,
     is_self_intertwiner,
-    normalizer_cocycle_check,
     perturb,
 )
 from cuntzcalc.sampling import random_permutation_unitary, random_sum_of_words_unitary
+from oracles import compose, normalizer_cocycle_check
 
 N = 2
 I = Element.identity(N)
