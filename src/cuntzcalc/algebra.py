@@ -36,14 +36,14 @@ when their term dicts coincide.  I + S_1^k S_1^k* is stored as
 Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
 indices q, r is a prefix of the other; then it is S_{p t} S_s* if
 r = q t, and S_p S_{s t}* if q = r t.  So the product of two Elements
-never tries all pairs of terms.  It indexes the factor with fewer terms
-by its inner index, under that index and under every prefix of it
-(_inner_index); each inner index x of the other factor then finds the
-inner indices that extend x (one lookup under x) and those that are
-proper prefixes of x (one lookup per index length that occurs), i.e.
-exactly the surviving pairs (_probe).  A caller that multiplies by the
-same factor many times keeps its index.  Coefficient dicts may be shared
-between Elements and are never mutated in place.
+never tries all pairs of terms.  It indexes the right factor by its
+alphas, under each alpha and under every prefix of it (_inner_index);
+each beta q of the left factor then finds the alphas that extend q (one
+lookup under q) and those that are proper prefixes of q (one lookup per
+alpha length that occurs), i.e. exactly the surviving pairs (_probe).
+A caller that multiplies by the same right factor many times keeps its
+index.  Coefficient dicts may be shared between Elements and are never
+mutated in place.
 
 n (an int in 2..9, as letters are digits), letters and gauge powers
 (ints) are checked once, where they enter from outside: by Element(n,
@@ -252,49 +252,38 @@ def _cylinders(n, tails):
 
 
 def _product_terms(xs, ys):
-    """Raw surviving terms of xs * ys for term dicts xs, ys.
-
-    Indexes the smaller factor by inner index (see the module docstring);
-    indexing the larger one makes a small x large tower step slower.
-    """
-    right = len(ys) <= len(xs)
-    small, large = (ys, xs) if right else (xs, ys)
-    return _probe(_inner_index(small, right), large, right)
+    """Raw surviving terms of xs * ys for term dicts xs, ys."""
+    return _probe(_inner_index(ys), xs)
 
 
-def _inner_index(terms, right):
-    """Index of one factor's term dict by inner index: the alphas of a
-    right factor (right=True), the betas of a left one."""
+def _inner_index(terms):
+    """Index of a right factor's term dict by its alphas (the inner index)."""
     extends, exact, lengths = {}, {}, set()
     for (a, b), c in terms.items():
-        inner, outer = (a, b) if right else (b, a)
-        entry = (inner, outer, c)
-        for m in range(len(inner) + 1):
-            extends.setdefault(inner[:m], []).append(entry)
-        exact.setdefault(inner, []).append(entry)
-        lengths.add(len(inner))
+        entry = (a, b, c)
+        for m in range(len(a) + 1):
+            extends.setdefault(a[:m], []).append(entry)
+        exact.setdefault(a, []).append(entry)
+        lengths.add(len(a))
     return extends, exact, sorted(lengths)
 
 
-def _probe(index, terms, right):
-    """Raw surviving terms of the product of the indexed factor with the
-    term dict terms, which stands on the other side of it."""
+def _probe(index, terms):
+    """Raw surviving terms of xs * ys, from the term dict terms of the
+    left factor xs and the index of ys; each beta of xs is looked up."""
     extends, exact, lengths = index
     raw = []
-    for (a, b), c in terms.items():
-        inner, outer = (b, a) if right else (a, b)
-        m = len(inner)
-        # indexed inner = inner + tail: the tail moves to this outer index
-        for i_inner, i_outer, ci in extends.get(inner, ()):
-            grown = outer + i_inner[m:]
-            raw.append(((grown, i_outer) if right else (i_outer, grown), _cmul(c, ci)))
-        # inner = indexed inner + tail: the tail moves to the indexed outer
+    for (p, q), c in terms.items():
+        m = len(q)
+        # indexed alpha r = q t: S_p S_q* S_r S_s* = S_{p t} S_s*
+        for r, s, ci in extends.get(q, ()):
+            raw.append(((p + r[m:], s), _cmul(c, ci)))
+        # q = r t for an indexed alpha r: S_p S_q* S_r S_s* = S_p S_{s t}*
         for k in lengths:
             if k >= m:
                 break
-            for _, i_outer, ci in exact.get(inner[:k], ()):
-                grown = i_outer + inner[k:]
-                raw.append(((outer, grown) if right else (grown, outer), _cmul(c, ci)))
+            for _, s, ci in exact.get(q[:k], ()):
+                raw.append(((p, s + q[k:]), _cmul(c, ci)))
     return raw
 
 

@@ -28,7 +28,7 @@ from .decide import (
     path_condition,
 )
 from .endo import NotSumOfWords, gauge, is_unitary, lambda_apply, sum_of_words_profile
-from .exprio import CONSTANT_NAMES, ParseError, constant, render, resolve, to_json
+from .exprio import ParseError, constant, render, resolve
 from .intertwine import (
     PreconditionFailed,
     agree_on_F,
@@ -288,6 +288,8 @@ def _cmd_search(args):
     n = args.n
     if args.k < 0:
         raise ValueError("--k must be >= 0")
+    if args.samples is not None and args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     size = n ** args.k
     level = 2 if args.level is None else args.level
     if args.samples is None:

@@ -45,25 +45,30 @@ def is_unitary(x):
     """Exact check of x x* = x* x = I.
 
     Fast path: a sum of words with all coefficients 1 is unitary iff its
-    alphas and betas each form a partition of unity (complete prefix-free
-    families), which avoids the symbolic squaring.
+    alphas and betas each form a partition of unity (_word_pairs), which
+    avoids the symbolic squaring.
     """
-    pairs = _unit_coeff_pairs(x)
-    if pairs is not None:
-        alphas = [a for a, _ in pairs]
-        betas = [b for _, b in pairs]
-        if _is_partition_of_unity(x.n, alphas) and _is_partition_of_unity(x.n, betas):
-            return True
-    ident = Element.identity(x.n)
-    xs = x.adjoint()
-    return x * xs == ident and xs * x == ident
+    try:
+        _word_pairs(x)
+    except NotSumOfWords:
+        ident = Element.identity(x.n)
+        xs = x.adjoint()
+        return x * xs == ident and xs * x == ident
+    return True
 
 
-def _unit_coeff_pairs(x):
-    """The sorted word pairs of x if all its coefficients are 1."""
-    if all(_is_unit_coeff(c) for c in x.terms.values()):
-        return sorted(x.terms)
-    return None
+def _word_pairs(x):
+    """The sorted word pairs of x if x is a sum of words: all coefficients
+    1, and the alphas and the betas each a partition of unity (complete
+    prefix-free families); else raises NotSumOfWords."""
+    if not all(_is_unit_coeff(c) for c in x.terms.values()):
+        raise NotSumOfWords("coefficients other than 1 remain in the minimal presentation")
+    pairs = sorted(x.terms)
+    if not _is_partition_of_unity(x.n, [a for a, _ in pairs]):
+        raise NotSumOfWords("the alpha projections do not form a partition of unity")
+    if not _is_partition_of_unity(x.n, [b for _, b in pairs]):
+        raise NotSumOfWords("the beta projections do not form a partition of unity")
+    return pairs
 
 
 def _is_partition_of_unity(n, idxs):
@@ -117,15 +122,7 @@ def sum_of_words_profile(x):
     gauge power 0) and both the alphas and the betas to form
     partitions of unity.
     """
-    pairs = _unit_coeff_pairs(x)
-    if pairs is None:
-        raise NotSumOfWords("coefficients other than 1 remain in the minimal presentation")
-    alphas = [a for a, _ in pairs]
-    betas = [b for _, b in pairs]
-    if not _is_partition_of_unity(x.n, alphas):
-        raise NotSumOfWords("the alpha projections do not form a partition of unity")
-    if not _is_partition_of_unity(x.n, betas):
-        raise NotSumOfWords("the beta projections do not form a partition of unity")
+    pairs = _word_pairs(x)
     if pairs == [((), ())]:
         # identity: expand one level so every beta has a nonempty tail
         pairs = [((i,), (i,)) for i in range(1, x.n + 1)]

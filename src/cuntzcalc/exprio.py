@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, word_degree, word_mul
+from .algebra import Element, word_mul
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"

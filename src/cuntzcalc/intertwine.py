@@ -10,9 +10,10 @@ not on it, which is the mechanism behind the main counterexample.
 The fixed points in Span_L = span{S_a S_b* : |a|, |b| <= L} are the
 kernel of the defect map x -> u shift(x) u* - x.  On a spanning word it
 reads u shift(S_a S_b*) u* = sum_i A_{ia} A_{ib}* with A_c = u S_c, so
-each factor A_c (and its adjoint) is formed once, the adjoint is
-indexed by inner index once (algebra._inner_index) so that each of the
-n products per word only probes that index, and the raw product terms
+each factor A_c (and its adjoint) is formed once, the adjoint, the
+right factor of each product, is indexed by its alphas once
+(algebra._inner_index) so that each of the n products per word only
+probes that index with the betas of A_{ia}, and the raw product terms
 go straight into sparse coordinates, with no normal form.  One padding
 rule (_coordinates) serves the defects and membership, and one pivot
 loop (_eliminate) extracts the kernel.  A kernel vector is 1 at its own
@@ -218,18 +219,18 @@ def intertwiner_space(u, L):
     factors = {}
 
     def factor(c):
-        # terms of u S_c, and the index of its adjoint as a right factor
+        # terms of u S_c, and the index of its adjoint
         f = factors.get(c)
         if f is None:
             x = u * Element.word(n, c)
-            f = factors[c] = (x.terms, _inner_index(x.adjoint().terms, True))
+            f = factors[c] = (x.terms, _inner_index(x.adjoint().terms))
         return f
 
     raws = []
     for a, b in words:
         raw = [((a, b), {0: -1})]
         for i in range(1, n + 1):
-            raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0], True)
+            raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0])
         raws.append(raw)
 
     lam = {}

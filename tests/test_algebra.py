@@ -125,7 +125,7 @@ def test_product_matches_all_pairs_oracle():
 def random_terms(rng, n, size):
     """A term dict of size random words, not in canonical form."""
     terms = {}
-    for _ in range(size):
+    while len(terms) < size:
         alpha = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
         beta = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
         terms[(alpha, beta)] = {rng.randint(-1, 1): rng.choice((1, -2, Fraction(1, 3)))}
@@ -138,21 +138,23 @@ def raw_multiset(raw):
 
 def test_reused_index_matches_product_and_all_pairs_oracle():
     rng = random.Random(13)
+    shapes = Counter()
     for n in (2, 3):
-        for _ in range(40):
-            fixed = random_terms(rng, n, rng.randint(1, 8))
-            right, left = _inner_index(fixed, True), _inner_index(fixed, False)
+        for trial in range(40):
+            # the empty index, an 8-term one, then random sizes
+            fixed = random_terms(rng, n, (0, 8)[trial] if trial < 2 else rng.randint(1, 8))
+            index = _inner_index(fixed)
             y = Element(n, fixed)
-            for _ in range(3):
-                # the same index, probed by several factors of either size
-                other = random_terms(rng, n, rng.randint(1, 8))
+            # the same index, probed by left factors of 1 term, 8 terms and a random size
+            for size in (1, 8, rng.randint(1, 8)):
+                other = random_terms(rng, n, size)
                 x = Element(n, other)
-                as_right = _probe(right, other, True)  # other * fixed
-                as_left = _probe(left, other, False)  # fixed * other
-                assert raw_multiset(as_right) == raw_multiset(_product_terms(other, fixed))
-                assert raw_multiset(as_left) == raw_multiset(_product_terms(fixed, other))
-                assert _canonical(n, as_right) == all_pairs_product(x, y)
-                assert _canonical(n, as_left) == all_pairs_product(y, x)
+                raw = _probe(index, other)  # other * fixed
+                assert raw_multiset(raw) == raw_multiset(_product_terms(other, fixed))
+                assert _canonical(n, raw) == all_pairs_product(x, y)
+                assert _canonical(n, _product_terms(fixed, other)) == all_pairs_product(y, x)
+                shapes[len(other), len(fixed)] += 1
+    assert shapes[1, 0] and shapes[8, 0] and shapes[1, 8]
 
 
 def test_large_tower_product_is_unitary():

@@ -279,6 +279,11 @@ def test_search_guardrails(capsys):
         assert code == 3
         assert "--samples" in err
     assert run(capsys, "search", "--k", "-1")[0] == 3
+    code, out, err = run(capsys, "search", "--k", "2", "--samples", "-1")
+    assert code == 3 and out == ""
+    assert "--samples" in err
+    code, out, _ = run(capsys, "search", "--k", "2", "--samples", "0")
+    assert code == 0 and out.startswith("candidates: 0\n")
 
 
 # -- error mapping -----------------------------------------------------------
