@@ -42,8 +42,12 @@ each beta q of the left factor then finds the alphas that extend q (one
 lookup under q) and those that are proper prefixes of q (one lookup per
 alpha length that occurs), i.e. exactly the surviving pairs (_probe).
 A caller that multiplies by the same right factor many times keeps its
-index.  Coefficient dicts may be shared between Elements and are never
-mutated in place.
+index.  A factor equal to the identity is not multiplied at all: the
+other factor is returned as it is.  Coefficient dicts may be shared
+between Elements and are never mutated in place.  The coefficient
+helpers never add into a missing key: a new key takes its value as it
+is, and the product of two one-entry dicts is the one product of their
+values.
 
 n (an int in 2..9, as letters are digits), letters and gauge powers
 (ints) are checked once, where they enter from outside: by Element(n,
@@ -111,13 +115,19 @@ def _coeff(q=1, gpow=0):
 
 
 def _cadd(a, b):
+    # a new key takes b's value as it is: 0 + Fraction goes through
+    # Fraction's reverse-operator dispatch
     out = dict(a)
     for m, q in b.items():
-        s = out.get(m, 0) + q
-        if s:
-            out[m] = s
+        s = out.get(m)
+        if s is None:
+            out[m] = q
         else:
-            out.pop(m, None)
+            s += q
+            if s:
+                out[m] = s
+            else:
+                del out[m]
     return out
 
 
@@ -127,15 +137,25 @@ def _cmul(a, b):
         return b
     if _is_unit_coeff(b):
         return a
+    if len(a) == 1 and len(b) == 1:
+        # a product of two nonzero values is nonzero
+        (ma, qa), = a.items()
+        (mb, qb), = b.items()
+        return {ma + mb: qa * qb}
     out = {}
     for ma, qa in a.items():
         for mb, qb in b.items():
             m = ma + mb
-            s = out.get(m, 0) + qa * qb
-            if s:
-                out[m] = s
+            p = qa * qb
+            s = out.get(m)
+            if s is None:
+                out[m] = p
             else:
-                out.pop(m, None)
+                s += p
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
     return out
 
 
@@ -290,6 +310,9 @@ def _probe(index, terms):
 # ---------------------------------------------------------------------------
 # Elements
 
+_IDENTITY_TERMS = {((), ()): {0: 1}}
+
+
 def _canonical(n, raw):
     """Element from raw terms whose words come from checked Elements."""
     return Element(n, _normal_form(n, raw), _normal=True)
@@ -348,7 +371,7 @@ class Element:
         return not self.terms
 
     def is_identity(self):
-        return self.terms == {((), ()): {0: 1}}
+        return self.terms == _IDENTITY_TERMS
 
     def degrees(self):
         return sorted({word_degree(t) for t in self.terms})
@@ -388,6 +411,10 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same(other)
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         return _canonical(self.n, _product_terms(self.terms, other.terms))
 
     def __rmul__(self, other):

@@ -345,13 +345,15 @@ def _refutation(method, k, witness, cert):
                           witness=witness, certificate=cert)
 
 
-def cocycle_run(w, depth):
+def cocycle_run(w, depth, check_unitary=True):
     """Gauge-cocycle recursion; (cocycles, report).
 
     A repeated state zt_k certifies PRESERVES: the recursion is
     deterministic and every revisited state has already been validated.
+    check_unitary=False skips the unitarity check, for a w the caller
+    has already validated.
     """
-    if not is_unitary(w):
+    if check_unitary and not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
     cocycles = []
     seen = {Element.identity(w.n): 0}
@@ -393,9 +395,12 @@ def decide_preserves(w, method="auto", depth=16):
 
     try:
         return _graph_decision(w)
-    except (NotSumOfWords, DegreeOutOfRange, IncompleteEdgeRule):
-        pass
-    report = cocycle_run(w, depth)[1]
+    except NotSumOfWords:
+        checked = False
+    except (DegreeOutOfRange, IncompleteEdgeRule):
+        # sum_of_words_profile has passed: w is a unitary sum of words
+        checked = True
+    report = cocycle_run(w, depth, check_unitary=not checked)[1]
     if report.verdict == NOT_PRESERVES:
         image = lambda_apply(w, report.witness, check_unitary=False)
         if membership(image, "F"):

@@ -21,8 +21,8 @@ which has about n^k terms.
 
 from dataclasses import dataclass, field
 
-from .algebra import Element, _canonical, _check_powers, _cmul, _is_unit_coeff, _product_terms
-from .algebra import level_blocks, shift_preimage, word_degree
+from .algebra import Element, _canonical, _check_powers, _cmul, _inner_index, _is_unit_coeff
+from .algebra import _probe, _product_terms, level_blocks, shift_preimage, word_degree
 # re-exported for bench/tracer.py, which wraps endo.shift and endo.left_inverse
 from .algebra import left_inverse, shift  # noqa: F401
 
@@ -191,16 +191,20 @@ def agreement(w, v, depth):
 
     Yields (k, z_k, level-1 blocks of y_k) for k = 1..depth (>= 0) and
     stops after the first level whose y_k leaves the shift's range, where
-    z_k is None.  w and v must be unitaries over the same n.
+    z_k is None.  w and v must be unitaries over the same n.  v is the
+    right factor at every level, so its index is built once per run.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    w._require_same(v)
+    n = w.n
     ws = w.adjoint()
-    z = Element.identity(w.n)
+    right = _inner_index(v.terms)
+    z = Element.identity(n)
     for k in range(1, depth + 1):
-        y = ws * z * v
+        y = _canonical(n, _probe(right, (ws * z).terms))
         blocks = level_blocks(y, 1)
-        z = shift_preimage(y.n, blocks)
+        z = shift_preimage(n, blocks)
         yield k, z, blocks
         if z is None:
             return

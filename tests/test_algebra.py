@@ -628,3 +628,89 @@ def test_integral_inputs_stay_int():
         space = intertwiner_space(u, level)
         for b in space.basis:
             assert_int_coefficients(b)
+
+
+# -- coefficient helpers against a naive reference ---------------------------
+
+def naive_cadd(a, b):
+    out = {}
+    for c in (a, b):
+        for m, q in c.items():
+            out[m] = out.get(m, 0) + q
+    return {m: q for m, q in out.items() if q}
+
+
+def naive_cmul(a, b):
+    out = {}
+    for ma, qa in a.items():
+        for mb, qb in b.items():
+            out[ma + mb] = out.get(ma + mb, 0) + qa * qb
+    return {m: q for m, q in out.items() if q}
+
+
+nonzero_values = st.one_of(
+    st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)).filter(bool)
+laurent = st.dictionaries(st.integers(-2, 2), nonzero_values, max_size=4)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two Laurent dicts; b may cancel some of a's entries exactly, and
+    (1 + q g)(1 - q g) cancels its g term."""
+    a, b = draw(laurent), draw(laurent)
+    for m in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[m] = -a[m]
+    if draw(st.booleans()):
+        q = draw(nonzero_values)
+        a, b = {0: 1, 1: q}, {0: 1, 1: -q}
+    return a, b
+
+
+@settings(**SETTINGS)
+@given(laurent_pairs())
+def test_coefficient_helpers_match_naive_reference(ab):
+    a, b = ab
+    before = (dict(a), dict(b))
+    for helper, naive in ((_cadd, naive_cadd), (_cmul, naive_cmul)):
+        got = helper(a, b)
+        assert got == naive(a, b)
+        assert all(got.values()), got
+        assert (a, b) == before
+
+
+def test_coefficient_helpers_cancel_exactly():
+    half = Fraction(1, 2)
+    assert _cadd({0: half, 1: 2}, {0: -half}) == {1: 2}
+    assert _cmul({0: 1, 1: half}, {0: 1, 1: -half}) == {0: 1, 2: -half * half}
+    assert _cmul({0: 2, 1: 1}, {-1: 2, 0: -1}) == {-1: 4, 1: -1}
+
+
+# -- products with the identity ----------------------------------------------
+
+def test_identity_factors_are_returned_as_they_are():
+    rng = random.Random(19)
+    for n in (2, 3):
+        one = Element.identity(n)
+        for _ in range(20):
+            x = random_element(rng, n, rng.randint(0, 4))
+            assert x * one is x and one * x is x
+            assert x * one == x and one * x == x
+    with pytest.raises(ContextMismatch):
+        Element.identity(2) * Element.identity(3)
+
+
+def test_scalar_multiple_of_identity_takes_the_general_product(monkeypatch):
+    import cuntzcalc.algebra as algebra
+
+    calls = []
+    product_terms = algebra._product_terms
+
+    def counted(xs, ys):
+        calls.append(1)
+        return product_terms(xs, ys)
+    monkeypatch.setattr(algebra, "_product_terms", counted)
+    x = word((1,), (2,), Fraction(1, 3), 1) + word((2, 1))
+    two = I.scale(2)
+    assert not two.is_identity()
+    assert x * two == x.scale(2) and two * x == x.scale(2)
+    assert len(calls) == 2

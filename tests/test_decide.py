@@ -312,6 +312,9 @@ def test_non_unitary_input_raises_on_every_route(method, text):
     if method == "graph":
         # the graph route admits only partitions of unity, which are unitary
         assert isinstance(info.value, NotSumOfWords)
+    else:
+        # auto falls back to the cocycle route, which still checks unitarity
+        assert "need a unitary input" in str(info.value)
 
 
 def test_route_disagreement_is_typed_and_carries_both_reports(monkeypatch):
@@ -351,10 +354,26 @@ def test_auto_runs_one_route_and_checks_refutations_by_the_action(monkeypatch, w
         counted(name)
     r = decide_preserves(w)
     assert r.method == "cocycle"
-    assert calls.get("is_unitary") == 1
+    # a sum of words that the graph route has profiled is not checked again
+    assert calls.get("is_unitary", 0) == (w is not W_DEG2)
     assert calls.get("agreement") == 1
     assert "direct_check" not in calls
     assert calls.get("lambda_apply", 0) == (r.verdict == NOT_PRESERVES)
+
+
+def test_auto_checks_a_profiled_sum_of_words_once(monkeypatch):
+    import cuntzcalc.endo as endo
+
+    calls = []
+    word_pairs = endo._word_pairs
+
+    def counted(x):
+        calls.append(x)
+        return word_pairs(x)
+    monkeypatch.setattr(endo, "_word_pairs", counted)
+    r = decide_preserves(W_DEG2)  # profiled, then refused by the graph route for its degrees
+    assert (r.verdict, r.method, r.failing_level) == (NOT_PRESERVES, "cocycle", 1)
+    assert calls == [W_DEG2]
 
 
 def test_direct_tests_every_level_up_to_its_depth():

@@ -320,6 +320,32 @@ def test_compose_unit_laws():
         assert compose(u, I) == u
 
 
+# -- the level-k recursion ---------------------------------------------------
+
+def test_agreement_indexes_its_right_factor_once_per_run(monkeypatch):
+    import cuntzcalc.endo as endo
+    from cuntzcalc.decide import cocycle_run
+
+    calls = []
+    inner_index = endo._inner_index
+
+    def counted(terms):
+        calls.append(terms)
+        return inner_index(terms)
+    monkeypatch.setattr(endo, "_inner_index", counted)
+    cocycles, _ = cocycle_run(W_CP, 16)
+    assert len(cocycles) > 1 and calls == [gauge(W_CP).terms]
+    for w, v, k in ((W_CP, gauge(W_CP), 5), (W0, gauge(W0), 3), (W0, FLIP, 3), (FLIP, FLIP, 4)):
+        calls.clear()
+        levels = list(endo.agreement(w, v, k))
+        assert calls == [v.terms]
+        # the levels of the recursion written with two products
+        ws, z = w.adjoint(), I
+        for _, zk, _ in levels:
+            z = phi_preimage(ws * z * v)
+            assert zk == z
+
+
 # -- index pair sets ---------------------------------------------------------
 
 def test_index_pair_set_direct():
