@@ -31,7 +31,6 @@ from .decide import (
     path_condition,
 )
 from .endo import (
-    IndexPairSet,
     NotSumOfWords,
     gauge,
     is_unitary,

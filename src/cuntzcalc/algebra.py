@@ -199,6 +199,8 @@ def word_degree(t):
 
 def _check_letters(n, idx):
     for letter in idx:
+        if type(letter) is not int:
+            raise ValueError(f"letters must be ints, got {letter!r}")
         if not 1 <= letter <= n:
             raise ValueError(f"letter {letter} out of range for n={n}")
 

@@ -13,21 +13,22 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
-from .algebra import ContextMismatch, left_inverse, membership
+from .algebra import left_inverse, membership
 from .decide import (
     NOT_PRESERVES,
     PRESERVES,
     UNDECIDED,
-    DegreeOutOfRange,
     IncompleteEdgeRule,
     Psi1NotConstant,
+    _fmt_label,
+    _fmt_tail,
     build_overlap_graph,
     cocycle_run,
     decide_preserves,
     export_dot,
     path_condition,
 )
-from .endo import NotSumOfWords, gauge, is_unitary, lambda_apply, sum_of_words_profile
+from .endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
 from .exprio import ParseError, constant, render, resolve
 from .intertwine import (
     PreconditionFailed,
@@ -142,9 +143,8 @@ def _cmd_cocycles(args):
 
 def _cmd_graph(args):
     w = _expr(args, args.w)
-    profile = sum_of_words_profile(w)
     try:
-        graph = build_overlap_graph(profile)
+        graph = build_overlap_graph(sum_of_words_profile(w))
     except Psi1NotConstant as bad:
         print(f"class labels are not well defined: {bad}")
         return 1
@@ -153,10 +153,8 @@ def _cmd_graph(args):
         return 2
     print(f"classes ({len(graph.vertices)}):")
     for name in graph.vertices:
-        members = ", ".join("S" + "".join(map(str, b)) for b in graph.classes[name])
-        value = graph.label[name]
-        print(f"  {name}: label {value:+d}" if value else f"  {name}: label 0",
-              f"betas [{members}]", sep=", ")
+        members = ", ".join("S" + _fmt_tail(b) for b in graph.classes[name])
+        print(f"  {name}: label {_fmt_label(graph.label[name])}, betas [{members}]")
     print(f"edges ({len(graph.edges)}):")
     for a, b in graph.edges:
         print(f"  {a} -> {b}")
@@ -407,7 +405,7 @@ def main(argv=None):
     except PreconditionFailed as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    except (NotSumOfWords, DegreeOutOfRange, ContextMismatch, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

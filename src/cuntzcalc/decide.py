@@ -20,9 +20,11 @@ Three routes:
 
   graph    for sums of words with degrees in {-1, 0, +1}: build the labeled
            overlap digraph of beta-tails and decide the path condition
-           exactly by a synchronized pair search.  Always conclusive; the
-           level it reports is the first failing one, and the recursion
-           names its witness.
+           exactly by a synchronized pair search.  Conclusive whenever
+           the graph can be built; some unitaries have a pair with no
+           successor tail (IncompleteEdgeRule), and auto mode hands
+           those to cocycle.  The level it reports is the first failing
+           one, and the recursion names its witness.
 
 Auto mode runs graph when it applies, else cocycle, and checks a cocycle
 refutation with lambda_apply, which shares no code with the recursion:
@@ -98,7 +100,6 @@ class OverlapGraph:
     class; label holds the common degree |alpha| - |beta| per vertex.
     """
 
-    n: int
     classes: dict
     label: dict
     edges: tuple
@@ -114,8 +115,9 @@ class OverlapGraph:
         return {v: tuple(sorted(set(s))) for v, s in succ.items()}
 
 
-def overlap_classes(profile):
-    """Partition of the betas by chains of prefix-comparable tails.
+def overlap_classes(pairs):
+    """Partition of the betas of the (alpha, beta) pairs by chains of
+    prefix-comparable tails, the tail of beta being beta[1:].
 
     In sorted order a tail is followed by its extensions, so one pass
     puts each tail in the class of the topmost tail it extends.  The
@@ -125,32 +127,34 @@ def overlap_classes(profile):
     """
     groups = {}
     top = None
-    for t, b in sorted((profile.tails[b], b) for b in profile.betas):
+    for t, b in sorted((b[1:], b) for _, b in pairs):
         if top is None or t[:len(top)] != top:
             top = t
         groups.setdefault(top, []).append(b)
     classes = {}
     for members in groups.values():
-        tails = sorted({profile.tails[b] for b in members})
-        name = ",".join(_fmt_tail(t) for t in tails)
+        name = ",".join(_fmt_tail(t) for t in sorted({b[1:] for b in members}))
         classes[name] = tuple(sorted(members))
     return classes
 
 
-def build_overlap_graph(profile):
-    """OverlapGraph of a validated index-pair family.
+def build_overlap_graph(pairs):
+    """OverlapGraph of the (alpha, beta) pairs of a sum of words.
 
-    Raises DegreeOutOfRange unless all degrees lie in {-1, 0, +1},
-    Psi1NotConstant when a class mixes degrees (which already refutes
-    preservation at level 1), and IncompleteEdgeRule when some pair has
-    no successor so the label recursion cannot be formed.
+    Pair (a, b) has an edge from the class of b to the class of every
+    tail that is a prefix of a.  Raises DegreeOutOfRange unless all
+    degrees |a| - |b| lie in {-1, 0, +1}, Psi1NotConstant when a class
+    mixes degrees (which already refutes preservation at level 1), and
+    IncompleteEdgeRule when some pair has no successor so the label
+    recursion cannot be formed.
     """
-    degs = profile.degrees()
+    deg_of = {b: len(a) - len(b) for a, b in pairs}
+    degs = sorted(set(deg_of.values()))
     if any(d not in (-1, 0, 1) for d in degs):
         raise DegreeOutOfRange(f"degrees {degs} outside {{-1, 0, +1}}")
-    classes = overlap_classes(profile)
-    class_of = {b: name for name, members in classes.items() for b in members}
-    deg_of = {b: len(a) - len(b) for a, b in profile.pairs}
+    classes = overlap_classes(pairs)
+    # betas sharing a tail share a class, so each tail names one class
+    class_of = {b[1:]: name for name, members in classes.items() for b in members}
 
     label = {}
     for name, members in classes.items():
@@ -160,17 +164,13 @@ def build_overlap_graph(profile):
         label[name] = values[0]
 
     edges = set()
-    for a, b in profile.pairs:
-        found = False
-        for b2 in profile.betas:
-            t2 = profile.tails[b2]
-            if a[:len(t2)] == t2:
-                edges.add((class_of[b], class_of[b2]))
-                found = True
-        if not found:
+    for a, b in pairs:
+        succ = {class_of[a[:m]] for m in range(len(a) + 1) if a[:m] in class_of}
+        if not succ:
             raise IncompleteEdgeRule(
                 f"pair ({_fmt_tail(a)}, {_fmt_tail(b)}) has no successor tail")
-    return OverlapGraph(profile.n, classes, label, tuple(sorted(edges)))
+        edges.update((class_of[b[1:]], c) for c in succ)
+    return OverlapGraph(classes, label, tuple(sorted(edges)))
 
 
 def path_condition(graph):
@@ -412,9 +412,8 @@ def decide_preserves(w, method="auto", depth=16):
 
 
 def _graph_decision(w):
-    profile = sum_of_words_profile(w)
     try:
-        graph = build_overlap_graph(profile)
+        graph = build_overlap_graph(sum_of_words_profile(w))
     except Psi1NotConstant as bad:
         # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
         ((_, _, blocks),) = agreement(w, gauge(w), 1)
@@ -422,7 +421,6 @@ def _graph_decision(w):
                             diagonal_mean(w.n, blocks))
         return _refutation("graph", 1, _failing_unit(w.n, 1, blocks), cert)
     ok, cert = path_condition(graph)
-    cert = dict(cert)
     cert["classes"] = {name: [_fmt_tail(b) for b in members]
                        for name, members in sorted(graph.classes.items())}
     cert["labels"] = {name: graph.label[name] for name in graph.vertices}

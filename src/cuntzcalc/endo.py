@@ -19,8 +19,6 @@ lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
 which has about n^k terms.
 """
 
-from dataclasses import dataclass, field
-
 from .algebra import Element, _canonical, _check_powers, _cmul, _inner_index, _is_unit_coeff
 from .algebra import _probe, _product_terms, level_blocks, shift_preimage, word_degree
 # re-exported for bench/tracer.py, which wraps endo.shift and endo.left_inverse
@@ -93,30 +91,8 @@ def minimal_presentation(x):
     return dict(x.terms)
 
 
-@dataclass(frozen=True)
-class IndexPairSet:
-    """Validated index-pair family J of a sum-of-words unitary.
-
-    pairs is the family J; betas is J_2 = {beta}, in bijection with J;
-    tails maps each beta to the index with its first letter removed.
-    """
-
-    n: int
-    pairs: tuple
-    betas: tuple = field(init=False)
-    tails: dict = field(init=False)
-
-    def __post_init__(self):
-        betas = tuple(b for _, b in self.pairs)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "tails", {b: b[1:] for b in betas})
-
-    def degrees(self):
-        return sorted({len(a) - len(b) for a, b in self.pairs})
-
-
 def sum_of_words_profile(x):
-    """Validate x as a sum of words and return its IndexPairSet.
+    """Validate x as a sum of words and return its sorted (alpha, beta) pairs.
 
     Requires every coefficient of the canonical form to be exactly 1 (at
     gauge power 0) and both the alphas and the betas to form
@@ -125,8 +101,8 @@ def sum_of_words_profile(x):
     pairs = _word_pairs(x)
     if pairs == [((), ())]:
         # identity: expand one level so every beta has a nonempty tail
-        pairs = [((i,), (i,)) for i in range(1, x.n + 1)]
-    return IndexPairSet(x.n, tuple(pairs))
+        return tuple(((i,), (i,)) for i in range(1, x.n + 1))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

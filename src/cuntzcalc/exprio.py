@@ -227,7 +227,7 @@ def from_json(text):
         if not isinstance(entry, dict) or set(entry) != {"alpha", "beta", "coeff"}:
             _schema_error("each term must have exactly the keys alpha/beta/coeff")
         for key in ("alpha", "beta"):
-            if not isinstance(entry[key], list) or not all(isinstance(i, int) for i in entry[key]):
+            if not isinstance(entry[key], list) or not all(type(i) is int for i in entry[key]):
                 _schema_error(f"'{key}' must be a list of integers")
         if not isinstance(entry["coeff"], list):
             _schema_error("'coeff' must be a list of [gpow, num, den] triples")

@@ -174,19 +174,19 @@ class SpanBasisReport:
     dimension: int
     basis: tuple
     _words: tuple
-    _leads: dict  # free column -> kernel combination over the pivot columns of _words
+    _free: tuple  # the free columns of _words, one per basis vector
 
     def coefficients_of(self, x):
         """Expansion coefficients of x over the basis, or None when x is
-        not in the space: x's Span_L coordinates at the free columns (the
-        keys of _leads), checked by exact reconstruction."""
+        not in the space: x's Span_L coordinates at the free columns,
+        checked by exact reconstruction."""
         self.basis[0]._require_same(x)
         n, L = x.n, self.level
         try:
             vec = _coordinates(x.terms.items(), _span_profile(L), _tails(n, L))
         except ValueError:
             return None
-        free = [self._words[j] for j in self._leads]
+        free = [self._words[j] for j in self._free]
         coeffs = [vec.get((len(a) - len(b), b, a), 0) for a, b in free]
         raw = [(t, {m: p * q for m, p in c.items()})
                for q, e in zip(coeffs, self.basis) if q for t, c in e.terms.items()]
@@ -249,13 +249,12 @@ def intertwiner_space(u, L):
 
     basis = tuple(Element(n, [(words[kk], {0: q}) for kk, q in comb.items()])
                   for comb in kernel.values())
-    leads = {j: {kk: q for kk, q in comb.items() if kk != j} for j, comb in kernel.items()}
 
     us = u.adjoint()
     for b in basis:
         if u * shift(b) * us != b:
             raise RuntimeError("internal: kernel vector fails the fixed-point identity")
-    return SpanBasisReport(L, len(basis), basis, tuple(words), leads)
+    return SpanBasisReport(L, len(basis), basis, tuple(words), tuple(kernel))
 
 
 # ---------------------------------------------------------------------------

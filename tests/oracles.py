@@ -28,13 +28,13 @@ def gauge_expectation(x):
     return _canonical(x.n, raw.items())
 
 
-def n_covering_holds(profile):
-    """sum_beta P_{beta-tilde} == n * I as an exact Element identity."""
-    total = Element.zero(profile.n)
-    for b in profile.betas:
-        t = profile.tails[b]
-        total = total + Element.word(profile.n, t, t)
-    return total == Element.identity(profile.n).scale(profile.n)
+def n_covering_holds(n, pairs):
+    """sum_beta P_{beta-tilde} == n * I as an exact Element identity, over
+    the betas of the (alpha, beta) pairs, beta-tilde being beta[1:]."""
+    total = Element.zero(n)
+    for _, b in pairs:
+        total = total + Element.word(n, b[1:], b[1:])
+    return total == Element.identity(n).scale(n)
 
 
 def normalizer_cocycle_check(w):
@@ -53,4 +53,4 @@ def random_labeled_digraph(rng, max_vertices=8, edge_prob=0.3,
     edges = tuple(sorted((a, b) for a in names for b in names
                          if rng.random() < edge_prob))
     classes = {v: () for v in names}
-    return OverlapGraph(2, classes, label, edges)
+    return OverlapGraph(classes, label, edges)

@@ -182,7 +182,7 @@ def test_criterion_6_property_suites():
         # n-covering invariant of validated profiles
         for _ in range(50):
             w = random_sum_of_words_unitary(2, rng)
-            assert n_covering_holds(sum_of_words_profile(w))
+            assert n_covering_holds(2, sum_of_words_profile(w))
 
         # diagonality of w* gauge(w) across the sum-of-words family
         for _ in range(200):

@@ -170,6 +170,19 @@ def test_graph_path_failure_exit(capsys):
     assert "path condition: FAILS" in out
 
 
+def test_graph_incomplete_edge_rule_exit(capsys):
+    # a unitary whose pair (11, 12) has no successor tail: the graph route
+    # cannot decide it, and preserves-uhf falls back to the cocycle route
+    w = ("S11 S12* + S12 S22* + S211 S112* + S212 S212* + S2211 S1111* "
+         "+ S2212 S2111* + S2221 S1112* + S2222 S2112*")
+    code, out, _ = run(capsys, "graph", "--w", w)
+    assert code == 2
+    assert out == "INCOMPLETE_EDGE_RULE: pair (11, 12) has no successor tail\n"
+    code, out, _ = run(capsys, "preserves-uhf", "--w", w)
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict: PRESERVES", "method: cocycle"]
+
+
 # -- intertwiner commands ----------------------------------------------------
 
 def test_intertwiner_check(capsys):
@@ -236,6 +249,17 @@ def test_search_exhaustive_k1(capsys):
     code, out, _ = run(capsys, "search", "--k", "1")
     assert code == 0
     assert "candidates: 2" in out
+
+
+def test_search_reports_flagged_candidates(capsys):
+    code, out, _ = run(capsys, "search", "--k", "3", "--samples", "20", "--level", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "intertwiner dimension at level 3: 1x18, 2x1, 5x1",
+        "candidates with non-core basis elements: 1",
+        "  #7 dim 5, 2 non-core: S122 S111* + S121 S112* + S221 S121* + S211 S122* "
+        "+ S112 S211* + S111 S212* + S222 S221* + S212 S222*",
+    ]
 
 
 def test_search_sampled_is_deterministic(capsys):

@@ -23,7 +23,6 @@ from cuntzcalc.decide import (
     path_condition,
 )
 from cuntzcalc.endo import (
-    IndexPairSet,
     NotSumOfWords,
     gauge,
     lambda_apply,
@@ -46,6 +45,9 @@ W0 = resolve("S1 S11* + S21 S12* + S22 S2*", 2)
 PHI_W0 = shift(W0)  # six words, fails one level later than w0
 W_DEG2 = resolve("S111 S1* + S112 S21* + S12 S221* + S2 S222*", 2)
 ROT = resolve("3/5 S1 S1* + 4/5 S1 S2* - 4/5 S2 S1* + 3/5 S2 S2*", 2)
+# unitary, all degrees 0, yet pair (11, 12) has no successor tail
+W_INCOMPLETE = resolve("S11 S12* + S12 S22* + S211 S112* + S212 S212* + S2211 S1111* "
+                       "+ S2212 S2111* + S2221 S1112* + S2222 S2112*", 2)
 
 
 def word(a, b=(), coeff=1, gpow=0):
@@ -64,16 +66,16 @@ def test_overlap_classes():
     for n in (2, 3):
         for _ in range(100):
             betas = random_prefix_code(n, rng, rng.randint(2, 12))
-            profile = IndexPairSet(n, tuple(zip(rng.sample(betas, len(betas)), betas)))
-            classes = overlap_classes(profile)
-            assert list(classes.items()) == list(_union_find_classes(profile).items())
+            pairs = tuple(zip(rng.sample(betas, len(betas)), betas))
+            classes = overlap_classes(pairs)
+            assert list(classes.items()) == list(_union_find_classes(pairs).items())
             sizes.add(len(classes))
     assert len(sizes) >= 5
 
 
-def _union_find_classes(profile):
+def _union_find_classes(pairs):
     """The previous definition: union-find over prefix-comparable tails."""
-    betas = sorted(profile.betas)
+    betas = sorted(b for _, b in pairs)
     parent = list(range(len(betas)))
 
     def find(i):
@@ -83,9 +85,9 @@ def _union_find_classes(profile):
         return i
 
     for i in range(len(betas)):
-        ti = profile.tails[betas[i]]
+        ti = betas[i][1:]
         for j in range(i + 1, len(betas)):
-            tj = profile.tails[betas[j]]
+            tj = betas[j][1:]
             m = min(len(ti), len(tj))
             if ti[:m] == tj[:m]:
                 ri, rj = find(i), find(j)
@@ -96,7 +98,7 @@ def _union_find_classes(profile):
         groups.setdefault(find(i), []).append(b)
     classes = {}
     for members in groups.values():
-        tails = sorted({profile.tails[b] for b in members})
+        tails = sorted({b[1:] for b in members})
         name = ",".join("".join(map(str, t)) if t else "0" for t in tails)
         classes[name] = tuple(sorted(members))
     return classes
@@ -125,9 +127,14 @@ def test_degree_out_of_range():
 
 def test_incomplete_edge_rule():
     # synthetic family: the single alpha has no tail prefixing it
-    prof = IndexPairSet(2, (((1, 1), (2, 2)),))
     with pytest.raises(IncompleteEdgeRule):
-        build_overlap_graph(prof)
+        build_overlap_graph((((1, 1), (2, 2)),))
+    # a unitary sum of words: the graph route cannot decide it, auto falls
+    # back to the cocycle route, which certifies preservation
+    with pytest.raises(IncompleteEdgeRule, match=r"pair \(11, 12\) has no successor tail"):
+        decide_preserves(W_INCOMPLETE, method="graph")
+    r = decide_preserves(W_INCOMPLETE)
+    assert (r.verdict, r.method, r.depth) == (PRESERVES, "cocycle", 1)
 
 
 def test_export_dot():
@@ -144,7 +151,7 @@ def test_export_dot():
 
 def hand_graph(label, edges):
     classes = {v: () for v in label}
-    return OverlapGraph(2, classes, label, tuple(edges))
+    return OverlapGraph(classes, label, tuple(edges))
 
 
 def test_path_condition_hand_cases():
@@ -235,6 +242,8 @@ def test_w_cp_preserves_by_all_methods():
     assert auto.verdict == PRESERVES
     assert auto.method == "graph"
     assert auto.certificate["labels"] == W_CP_OVERLAP["labels"]
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        decide_preserves(W_CP, method="bogus")
 
 
 def test_w_cp_not_in_core_yet_preserves():
@@ -413,12 +422,10 @@ def test_psi_propagation_matches_stepwise_cocycles():
     # along the overlap graph, the level-k cocycle is the diagonal sum of
     # g^(k-step label) over the distinct tails; check all levels of one
     # full period
-    prof = sum_of_words_profile(W_CP)
-    g = build_overlap_graph(prof)
+    g = build_overlap_graph(sum_of_words_profile(W_CP))
     succ = g.successors()
-    cls_of = {prof.tails[b]: name
-              for name, betas in g.classes.items() for b in betas}
-    tails = sorted(set(prof.tails.values()))
+    cls_of = {b[1:]: name for name, betas in g.classes.items() for b in betas}
+    tails = sorted(cls_of)
     cocs, _ = cocycle_run(W_CP, 10)
     psi = dict(g.label)
     for k in range(1, 6):

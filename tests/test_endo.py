@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
-    IndexPairSet,
     NotSumOfWords,
     _is_partition_of_unity,
     gauge,
@@ -152,16 +151,15 @@ def test_minimal_presentation_contracts():
 
 def test_sum_of_words_profile():
     prof = sum_of_words_profile(W0)
-    assert prof.n == 2
-    assert len(prof.pairs) == 3
-    assert prof.degrees() == [-1, 0, 1]
-    assert n_covering_holds(prof)
+    assert prof == (((1,), (1, 1)), ((2, 1), (1, 2)), ((2, 2), (2,)))
+    assert sorted({len(a) - len(b) for a, b in prof}) == [-1, 0, 1]
+    assert n_covering_holds(2, prof)
     # one word given split across levels profiles as the same family
     split = resolve("S11 S111* + S12 S112* + S21 S12* + S22 S2*", 2)
-    assert sum_of_words_profile(split).pairs == prof.pairs
+    assert sum_of_words_profile(split) == prof
     # halves recombine to the identity, which profiles at level 1
     agg = sum_of_words_profile(I.scale(Fraction(1, 2)) + I.scale(Fraction(1, 2)))
-    assert agg.pairs == (((1,), (1,)), ((2,), (2,)))
+    assert agg == (((1,), (1,)), ((2,), (2,)))
     with pytest.raises(NotSumOfWords):
         sum_of_words_profile(I.scale(Fraction(1, 2)))
     with pytest.raises(NotSumOfWords):
@@ -346,13 +344,8 @@ def test_agreement_indexes_its_right_factor_once_per_run(monkeypatch):
             assert zk == z
 
 
-# -- index pair sets ---------------------------------------------------------
+# -- the n-covering identity of word pairs ------------------------------------
 
 def test_index_pair_set_direct():
-    prof = IndexPairSet(2, (((1, 1), (2, 2)),))
-    assert prof.degrees() == [0]
-    assert prof.tails == {(2, 2): (2,)}
-    assert not n_covering_holds(prof)
-    full = sum_of_words_profile(FLIP)
-    assert n_covering_holds(full)
-    assert full.degrees() == [0]
+    assert not n_covering_holds(2, (((1, 1), (2, 2)),))
+    assert n_covering_holds(2, sum_of_words_profile(FLIP))

@@ -150,6 +150,20 @@ def test_out_of_range_letters_rejected_at_every_boundary():
             resolve(text, n=2)
 
 
+def test_letters_that_are_not_ints_rejected():
+    # True == 1 == 1.0, so a letter check by value alone lets these through
+    for letter in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="letters must be ints"):
+            Element(N, {((letter,), (2,)): {0: 1}})
+        with pytest.raises(ValueError, match="letters must be ints"):
+            Element(N, [(((1,), (2, letter)), 1)])
+    for letter in ("true", "1.0", '"1"'):
+        text = ('{"n": 2, "terms": [{"alpha": [%s], "beta": [2], '
+                '"coeff": [[0, 1, 1]]}]}' % letter)
+        with pytest.raises(ValueError, match="list of integers"):
+            from_json(text)
+
+
 def test_json_merges_duplicate_powers():
     text = ('{"n": 2, "terms": [{"alpha": [], "beta": [], '
             '"coeff": [[0, 1, 2], [0, 1, 2]]}]}')

@@ -278,7 +278,7 @@ def test_space_matches_the_element_oracle():
     for u, L in cases:
         rep = intertwiner_space(u, L)
         dim, basis, leads = oracle_space(u, L)
-        assert (rep.dimension, rep.basis, rep._leads) == (dim, basis, leads)
+        assert (rep.dimension, rep.basis, rep._free) == (dim, basis, tuple(leads))
         dims.append(dim)
         # a seeded integer combination reads back its integers
         coeffs = [rng.randint(-3, 3) for _ in basis]
