@@ -14,8 +14,15 @@ Representation:
     multi-index    tuple of ints in 1..n, () = empty index
     word term      pair (alpha, beta) meaning S_alpha S_beta*
     coefficient    dict {gpow: int | Fraction}, no zero values stored;
-                   integral values are stored as int
+                   integral values are stored as int, and no other type
+                   (float, bool) is accepted
     Element        dict {(alpha, beta): coefficient} in canonical form
+
+A Fraction product costs tens of int products, so the hot loops
+(endo.is_unitary, endo.agreement, endo.lambda_apply and decide's defect
+test) run on integral forms: X = d x with int coefficients and the least
+d > 0 (_integral), scaled back to rationals (_over) only where a value
+leaves them.  An x with int coefficients is its own integral form.
 
 Canonical form: the coarsest cylinder presentation.  The root of a
 word (alpha, beta) is the pair left after stripping the common trailing
@@ -77,6 +84,7 @@ of the shift (diagonal_mean).
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 class ContextMismatch(ValueError):
@@ -101,11 +109,15 @@ def _check_powers(powers):
 # compare and hash the same either way.
 
 def _exact(q):
-    """q as a coefficient value: an int when integral, else a Fraction."""
+    """q as a coefficient value: an int when integral, else a Fraction.
+
+    Any other type (float, bool, str, ...) raises ValueError: a float
+    would enter as its binary expansion, and True as 1.
+    """
     if type(q) is int:
         return q
     if not isinstance(q, Fraction):
-        q = Fraction(q)
+        raise ValueError(f"coefficients must be ints or Fractions, got {q!r}")
     return q.numerator if q.denominator == 1 else q
 
 
@@ -336,7 +348,11 @@ class Element:
                 a, b = tuple(t[0]), tuple(t[1])
                 _check_letters(n, a)
                 _check_letters(n, b)
-                c = {m: _exact(q) for m, q in c.items() if q} if isinstance(c, dict) else _coeff(c)
+                if isinstance(c, dict):
+                    c = {m: _exact(q) for m, q in c.items()}
+                    c = {m: q for m, q in c.items() if q}
+                else:
+                    c = _coeff(c)
                 _check_powers(c)
                 checked.append(((a, b), c))
             terms = _normal_form(n, checked)
@@ -427,7 +443,7 @@ class Element:
     def scale(self, q, gpow=0):
         """Multiply by the scalar q * g^gpow."""
         _check_powers((gpow,))
-        q = Fraction(q)
+        q = _exact(q)
         if not q:
             return Element.zero(self.n)
         terms = {t: {m + gpow: _exact(p * q) for m, p in c.items()} for t, c in self.terms.items()}
@@ -450,6 +466,50 @@ class Element:
     def __repr__(self):
         from .exprio import render
         return f"<Element n={self.n} {render(self)}>"
+
+
+# ---------------------------------------------------------------------------
+# Integral forms: x = X / d with int coefficients in X and one int d > 0
+
+def _integral(x):
+    """(X, d) for the least d > 0 such that X = d x has int coefficients.
+
+    An x with int coefficients only comes back as (x, 1) after one scan
+    of its values, with no copy.
+    """
+    d = 1
+    for c in x.terms.values():
+        for q in c.values():
+            if type(q) is not int and d % q.denominator:
+                d = lcm(d, q.denominator)
+    if d == 1:
+        return x, 1
+    terms = {t: {m: q * d if type(q) is int else q.numerator * (d // q.denominator)
+                 for m, q in c.items()}
+             for t, c in x.terms.items()}
+    return Element(x.n, terms, _normal=True), d
+
+
+def _reduced(x, d):
+    """(X, e) with X / e = x / d and gcd(e, content of X) = 1, for an x
+    with int coefficients and an int d > 0: the canonical such pair."""
+    if d == 1:
+        return x, 1
+    g = d
+    for c in x.terms.values():
+        for q in c.values():
+            g = gcd(g, q)
+            if g == 1:
+                return x, d
+    terms = {t: {m: q // g for m, q in c.items()} for t, c in x.terms.items()}
+    return Element(x.n, terms, _normal=True), d // g
+
+
+def _over(terms, d):
+    """The term dict terms / d, for int coefficients and an int d > 0."""
+    if d == 1:
+        return terms
+    return {t: {m: _exact(Fraction(q, d)) for m, q in c.items()} for t, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +568,15 @@ def shift_preimage(n, blocks):
     return Element(n, z, _normal=True)
 
 
+def diagonal_sum(n, blocks):
+    """sum_i S_i* x S_i, from the level-1 blocks of x."""
+    raw = [tc for i in range(1, n + 1) for tc in blocks.get(((i,), (i,)), {}).items()]
+    return _canonical(n, raw)
+
+
 def diagonal_mean(n, blocks):
     """(1/n) sum_i S_i* x S_i, from the level-1 blocks of x."""
-    raw = [tc for i in range(1, n + 1) for tc in blocks.get(((i,), (i,)), {}).items()]
-    return _canonical(n, raw).scale(Fraction(1, n))
+    return diagonal_sum(n, blocks).scale(Fraction(1, n))
 
 
 def phi_preimage(x, k=1):

@@ -36,9 +36,10 @@ lambda(S_a) = u_k S_a of the level-k words row by row instead.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _cconj, _cmul, diagonal_mean, membership
+from .algebra import Element, _cconj, _cmul, _exact, _integral, diagonal_sum, membership
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -321,21 +322,30 @@ def monomial_defect(z):
     diagonal canonical z are disjoint cylinders under one root, so they
     are mutually orthogonal projections, each as coarse as it can be.
     """
-    if not membership(z, "D"):
+    return _defect(z, 1)
+
+
+def _defect(x, r):
+    """monomial_defect(x / r) for an int r > 0, tested in int arithmetic:
+    with X = d x (algebra._integral), a coefficient C of X passes iff
+    C(g)C(1/g) = (r d)^2.  Only the coefficient returned is rational."""
+    if not membership(x, "D"):
         return None
-    for (a, _), c in sorted(z.terms.items()):
-        if _cmul(c, _cconj(c)) != {0: 1}:
-            return a, c
+    X, d = _integral(x)
+    square = {0: (r * d) ** 2}
+    for t, c in sorted(X.terms.items()):
+        if _cmul(c, _cconj(c)) != square:
+            return t[0], {m: _exact(Fraction(q, r * d)) for m, q in c.items()}
     return None
 
 
-def _with_defect(cert, z):
-    """cert plus the first defect block of z and its coefficient, if any."""
-    defect = monomial_defect(z)
+def _with_defect(cert, x, r):
+    """cert plus the first defect block of x / r and its coefficient, if any."""
+    defect = _defect(x, r)
     if defect is not None:
         block, coeff = defect
         cert["defect_block"] = _fmt_tail(block)
-        cert["defect_coefficient"] = render(Element(z.n, {((), ()): dict(coeff)}, _normal=True))
+        cert["defect_coefficient"] = render(Element(x.n, {((), ()): coeff}, _normal=True))
     return cert
 
 
@@ -359,8 +369,9 @@ def cocycle_run(w, depth, check_unitary=True):
     seen = {Element.identity(w.n): 0}
     for k, zt, blocks in agreement(w, gauge(w), depth):
         if zt is None:
-            z = diagonal_mean(w.n, blocks)  # the certificate shows the failed unshift
-            cert = _with_defect({"cocycle": render(z)}, z)
+            # the certificate shows the failed unshift, the diagonal mean
+            s = diagonal_sum(w.n, blocks)
+            cert = _with_defect({"cocycle": render(s.scale(Fraction(1, w.n)))}, s, w.n)
             return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks), cert)
         cocycles.append(zt)
         first = seen.setdefault(zt, k)
@@ -418,7 +429,7 @@ def _graph_decision(w):
         # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
         ((_, _, blocks),) = agreement(w, gauge(w), 1)
         cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
-                            diagonal_mean(w.n, blocks))
+                            diagonal_sum(w.n, blocks), w.n)
         return _refutation("graph", 1, _failing_unit(w.n, 1, blocks), cert)
     ok, cert = path_condition(graph)
     cert["classes"] = {name: [_fmt_tail(b) for b in members]

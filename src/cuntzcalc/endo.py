@@ -19,8 +19,9 @@ lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
 which has about n^k terms.
 """
 
-from .algebra import Element, _canonical, _check_powers, _cmul, _inner_index, _is_unit_coeff
-from .algebra import _probe, _product_terms, level_blocks, shift_preimage, word_degree
+from .algebra import Element, _canonical, _check_powers, _cmul, _inner_index, _integral
+from .algebra import _is_unit_coeff, _normal_form, _over, _probe, _product_terms, _reduced
+from .algebra import level_blocks, shift_preimage, word_degree
 # re-exported for bench/tracer.py, which wraps endo.shift and endo.left_inverse
 from .algebra import left_inverse, shift  # noqa: F401
 
@@ -44,14 +45,17 @@ def is_unitary(x):
 
     Fast path: a sum of words with all coefficients 1 is unitary iff its
     alphas and betas each form a partition of unity (_word_pairs), which
-    avoids the symbolic squaring.
+    avoids the symbolic squaring.  Otherwise the squares are taken in
+    int arithmetic: with x = X / d (algebra._integral), the check is
+    X X* = X* X = d^2 I.
     """
     try:
         _word_pairs(x)
     except NotSumOfWords:
-        ident = Element.identity(x.n)
-        xs = x.adjoint()
-        return x * xs == ident and xs * x == ident
+        X, d = _integral(x)
+        square = Element.identity(x.n).scale(d * d)
+        Xs = X.adjoint()
+        return X * Xs == square and Xs * X == square
     return True
 
 
@@ -149,39 +153,61 @@ def lambda_apply(u, x, check_unitary=True):
 
     Each term c S_a S_b* maps to c lambda(S_a) lambda(S_b)*, with the
     images of word_images; the terms of all images are normalised once,
-    at the end.
+    at the end.  The products run in int arithmetic: with u = U / D and
+    x = X / e (algebra._integral), the images of U are
+    D^|a| lambda(S_a), so a term c S_a S_b* of X is weighted by
+    D^(top - |a| - |b|), top the largest |a| + |b|, and the sum is
+    divided by e D^top once.
     """
     u._require_same(x)
     if check_unitary and not is_unitary(u):
         raise ValueError("endomorphisms are attached to unitaries only")
-    image = word_images(u)
+    U, D = _integral(u)
+    X, e = _integral(x)
+    image = word_images(U)
+    top = max((len(a) + len(b) for a, b in X.terms), default=0)
     raw = []
-    for (a, b), c in x.terms.items():
+    for (a, b), c in X.terms.items():
+        f = D ** (top - len(a) - len(b))
+        if f != 1:
+            c = {m: q * f for m, q in c.items()}
         for t, ct in _product_terms(image(a).terms, image(b).adjoint().terms):
             raw.append((t, _cmul(ct, c)))
-    return _canonical(u.n, raw)
+    return Element(u.n, _over(_normal_form(u.n, raw), e * D ** top), _normal=True)
 
 
 def agreement(w, v, depth):
     """The recursion y_k = w* z_{k-1} v, z_k = phi^-1(y_k) from z_0 = I.
 
-    Yields (k, z_k, level-1 blocks of y_k) for k = 1..depth (>= 0) and
-    stops after the first level whose y_k leaves the shift's range, where
-    z_k is None.  w and v must be unitaries over the same n.  v is the
-    right factor at every level, so its index is built once per run.
+    Yields (k, z_k, None) for k = 1..depth (>= 0) and stops after the
+    first level whose y_k leaves the shift's range, yielding
+    (k, None, level-1 blocks of y_k) there.  w and v must be unitaries
+    over the same n.  v is the right factor at every level, so its index
+    is built once per run.
+
+    The recursion runs in int arithmetic: on W = d_w w and V = d_v v
+    (algebra._integral), with each state kept as Z_k / e_k, Z_k integral
+    and gcd(e_k, content of Z_k) = 1.  The products, normal forms and
+    blocks of W* Z_{k-1} V see ints only; the range test and the blocks'
+    pattern do not change under a positive scale.  Rationals are made
+    only where a value leaves: the yielded z_k and the failing blocks.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     w._require_same(v)
     n = w.n
-    ws = w.adjoint()
-    right = _inner_index(v.terms)
-    z = Element.identity(n)
+    W, dw = _integral(w)
+    V, dv = _integral(v)
+    Ws = W.adjoint()
+    right = _inner_index(V.terms)
+    z, e = Element.identity(n), 1  # z_{k-1} = z / e
     for k in range(1, depth + 1):
-        y = _canonical(n, _probe(right, (ws * z).terms))
-        blocks = level_blocks(y, 1)
+        s = dw * e * dv  # y_k = W* z V / s
+        blocks = level_blocks(_canonical(n, _probe(right, (Ws * z).terms)), 1)
         z = shift_preimage(n, blocks)
-        yield k, z, blocks
         if z is None:
+            yield k, None, {ab: _over(x, s) for ab, x in blocks.items()}
             return
+        z, e = _reduced(z, s)
+        yield k, z if e == 1 else Element(n, _over(z.terms, e), _normal=True), None
 

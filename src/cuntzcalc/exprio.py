@@ -234,7 +234,7 @@ def from_json(text):
         c = {}
         for triple in entry["coeff"]:
             if (not isinstance(triple, list) or len(triple) != 3
-                    or not all(isinstance(v, int) for v in triple)):
+                    or not all(type(v) is int for v in triple)):
                 _schema_error("each coefficient must be a [gpow, num, den] integer triple")
             m, num, den = triple
             if den <= 0:

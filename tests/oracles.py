@@ -3,10 +3,15 @@
 Each is a definition the engine does not need, kept here to check the
 engine against: composition of endomorphisms, the gauge expectation, the
 n-covering identity of a sum-of-words profile, diagonality of the level-1
-gauge cocycle, and random labeled digraphs for the path-condition search.
+gauge cocycle, random labeled digraphs for the path-condition search,
+rational rotations, and plain rational-product references for the
+unitarity check, the level-k recursion and the endomorphism action.
 """
 
-from cuntzcalc.algebra import Element, _canonical, membership, word_degree
+from itertools import product
+
+from cuntzcalc.algebra import Element, _canonical, level_blocks, membership, phi_preimage
+from cuntzcalc.algebra import word_degree
 from cuntzcalc.decide import OverlapGraph
 from cuntzcalc.endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
 
@@ -54,3 +59,44 @@ def random_labeled_digraph(rng, max_vertices=8, edge_prob=0.3,
                          if rng.random() < edge_prob))
     classes = {v: () for v in names}
     return OverlapGraph(classes, label, edges)
+
+
+def rotation(n, a, b, cos, sin):
+    """Rational rotation in the plane of the equal-length words a, b."""
+    raw = [((a, a), cos), ((a, b), -sin), ((b, a), sin), ((b, b), cos)]
+    raw += [((x, x), 1) for x in product(range(1, n + 1), repeat=len(a)) if x not in (a, b)]
+    return Element(n, raw)
+
+
+def unitary_reference(x):
+    """x x* == I and x* x == I, by plain products of x itself."""
+    one, xs = Element.identity(x.n), x.adjoint()
+    return x * xs == one and xs * x == one
+
+
+def agreement_reference(w, v, depth):
+    """The levels (k, z_k, blocks) of endo.agreement, each from the two
+    plain products w* z_{k-1} v: blocks are the level-1 blocks of y_k at
+    the failing level, where z_k is None, and None elsewhere."""
+    ws, z, levels = w.adjoint(), Element.identity(w.n), []
+    for k in range(1, depth + 1):
+        y = ws * z * v
+        z = phi_preimage(y)
+        levels.append((k, z, level_blocks(y, 1) if z is None else None))
+        if z is None:
+            break
+    return levels
+
+
+def lambda_reference(u, x):
+    """The endomorphism of u on x, term by term: c S_a S_b* maps to
+    c E_a E_b* with E_a = (u S_{a_1}) ... (u S_{a_k}) multiplied out."""
+    def image(a):
+        e = Element.identity(u.n)
+        for j in a:
+            e = e * (u * Element.gen(u.n, j))
+        return e
+    total = Element.zero(u.n)
+    for (a, b), c in x.terms.items():
+        total = total + Element(u.n, {((), ()): c}) * image(a) * image(b).adjoint()
+    return total

@@ -293,6 +293,18 @@ def test_degree_window_fallback_is_conclusive():
     assert r.certificate["image"] == render(lambda_apply(W_DEG2, r.witness))
 
 
+def test_depth_zero_checks_no_level():
+    # off the graph route: refuted at level 1 by the cocycle route once depth allows it
+    for method in ("auto", "cocycle", "direct"):
+        r = decide_preserves(W_DEG2, method=method, depth=0)
+        assert (r.verdict, r.depth, r.failing_level, r.witness) == (UNDECIDED, 0, 0, None)
+    cocycles, r = cocycle_run(W_DEG2, 0)
+    assert cocycles == [] and r.verdict == UNDECIDED
+    assert decide_preserves(W_DEG2, depth=1).failing_level == 1
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        decide_preserves(W_DEG2, depth=-1)
+
+
 def test_rotation_in_core_preserves():
     r = decide_preserves(ROT)
     assert r.verdict == PRESERVES
@@ -460,6 +472,42 @@ def test_monomial_defect():
     assert monomial_defect(word((1,), (1,), 1, 5) + word((2,), (2,))) is None
     assert monomial_defect(word((1,), (2,))) is None
     assert monomial_defect(Element.identity(N)) is None
+
+
+def test_defect_certificates_match_the_defect_of_the_diagonal_mean():
+    from fractions import Fraction
+
+    from cuntzcalc.algebra import diagonal_mean, level_blocks, phi_preimage
+    from oracles import rotation
+
+    rng = random.Random(23)
+    ws = [random_sum_of_words_unitary(n, rng, max_splits=3, max_len=3, degree_window=None)
+          for n in (2, 3) for _ in range(30)]
+    ws += [rotation(2, (1,), (2,), Fraction(3, 5), Fraction(4, 5)) * w for w in ws[:30:3]]
+    ws += [(word((1,), (1,), 1, 1) - word((2,), (2,))) * w for w in ws[:30:5]]
+    checked = 0
+    for w in ws:
+        r = decide_preserves(w)
+        # refutations by the cocycle route or by a class mixing degrees
+        if "cocycle" not in r.certificate and "mixed_degrees" not in r.certificate:
+            continue
+        # the failing level's y_k, by plain products
+        wstar, z = w.adjoint(), Element.identity(w.n)
+        for _ in range(r.failing_level):
+            y = wstar * z * gauge(w)
+            z = phi_preimage(y)
+        defect = monomial_defect(diagonal_mean(w.n, level_blocks(y, 1)))
+        if defect is None:
+            assert "defect_block" not in r.certificate
+        else:
+            block, coeff = defect
+            assert r.certificate["defect_block"] == "".join(map(str, block))
+            assert r.certificate["defect_coefficient"] == render(Element(w.n, {((), ()): coeff}))
+        checked += 1
+    assert checked > 20
+    # a unit-modulus first term is passed over
+    z = word((1,), (1,), -1, 2) + word((2,), (2,), Fraction(1, 3))
+    assert monomial_defect(z) == ((2,), {0: Fraction(1, 3)})
 
 
 # -- reports -----------------------------------------------------------------

@@ -164,6 +164,15 @@ def test_letters_that_are_not_ints_rejected():
             from_json(text)
 
 
+def test_coefficient_triples_that_are_not_ints_rejected():
+    # JSON true is a Python int, so an isinstance check reads it as 1
+    for triple in ("[0, true, true]", "[0, 1, true]", "[true, 1, 1]", "[0, 1.0, 1]", '[0, "1", 1]'):
+        text = ('{"n": 2, "terms": [{"alpha": [1], "beta": [2], '
+                '"coeff": [%s]}]}' % triple)
+        with pytest.raises(ValueError, match="integer triple"):
+            from_json(text)
+
+
 def test_json_merges_duplicate_powers():
     text = ('{"n": 2, "terms": [{"alpha": [], "beta": [], '
             '"coeff": [[0, 1, 2], [0, 1, 2]]}]}')

@@ -1,0 +1,131 @@
+"""The int-arithmetic paths against plain rational products.
+
+is_unitary, agreement and lambda_apply run on X = d x with int
+coefficients and one denominator d (algebra._integral).  Their inputs
+here mirror the benchmark's off-graph corpus: 3/5, 5/13 and 8/17
+rotations in level-1 and level-2 planes, composed on the left, on the
+right and through the shift with w_cp, w0 and a permutation unitary,
+plus gauge-twisted diagonal phases and non-unitary scalings.  Each is
+checked against a reference in tests/oracles.py that multiplies the
+rational Elements as they are.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import cuntzcalc.algebra as algebra
+import cuntzcalc.endo as endo
+from cuntzcalc.algebra import Element
+from cuntzcalc.decide import UNDECIDED, decide_preserves
+from cuntzcalc.endo import agreement, gauge, is_unitary, lambda_apply, shift
+from cuntzcalc.exprio import constant, resolve
+from cuntzcalc.sampling import random_permutation_unitary, random_prefix_code, \
+    random_sum_of_words_unitary
+from oracles import agreement_reference, lambda_reference, rotation, unitary_reference
+
+ANGLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+          (Fraction(8, 17), Fraction(15, 17)))
+PLANES = ((((1,), (2,)),), (((1, 1), (2, 2)), ((1, 2), (2, 2)), ((1, 1), (2, 1))))
+W0 = resolve("S1 S11* + S21 S12* + S22 S2*", 2)
+# the one off-graph input the depth-16 cocycle route leaves UNDECIDED
+UNDECIDED_ROTATION = rotation(2, (1, 1), (2, 2), *ANGLES[0]) * constant("w_cp")
+
+
+def assert_exact(x):
+    """Every coefficient is an int or a non-integral Fraction."""
+    for c in x.terms.values():
+        for q in c.values():
+            assert type(q) is int or (type(q) is Fraction and q.denominator != 1), q
+
+
+def unitaries(rng):
+    """Seeded off-graph unitaries of n = 2, and two of n = 3."""
+    bases = (constant("w_cp"), W0, random_permutation_unitary(2, 2, rng))
+    out = []
+    for base in bases:
+        for cos, sin in ANGLES:
+            for planes in PLANES:
+                a, b = rng.sample(rng.choice(planes), 2)
+                r = rotation(2, a, b, cos, sin)
+                out += [r * base, base * r]
+                if len(a) == 1:
+                    out.append(base * shift(r))
+    for _ in range(3):
+        code = random_prefix_code(2, rng, rng.randint(1, 3), max_len=3)
+        phase = Element(2, [((x, x), {rng.choice((-1, 0, 1)): rng.choice((-1, 1))}) for x in code])
+        twisted = gauge(random_sum_of_words_unitary(2, rng, max_splits=2, max_len=2),
+                        rng.choice((-1, 1, 2)))
+        out += [phase * twisted, twisted * phase.scale(Fraction(-1))]
+    r3 = rotation(3, (1,), (3,), *ANGLES[1])
+    base3 = random_permutation_unitary(3, 1, rng)
+    out += [r3 * base3, base3 * shift(r3)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return unitaries(random.Random(2024))
+
+
+def test_is_unitary_matches_the_rational_reference(corpus):
+    half = Fraction(1, 2)
+    others = [Element.identity(2).scale(Fraction(3, 5)),
+              rotation(2, (1,), (2,), Fraction(3, 5), Fraction(3, 5)),
+              corpus[0].scale(Fraction(-1)), corpus[1].scale(half) + corpus[1].scale(half),
+              corpus[2] + Element.word(2, (1,), (1,), Fraction(1, 7))]
+    for x in corpus + others:
+        assert is_unitary(x) == unitary_reference(x)
+    assert all(map(is_unitary, corpus))
+    assert [is_unitary(x) for x in others] == [False, False, True, True, False]
+
+
+def test_agreement_matches_the_rational_reference(corpus):
+    rng = random.Random(5)
+    pairs = [(w, gauge(w), 5) for w in corpus]
+    pairs += [(w, rng.choice([v for v in corpus if v.n == w.n]), 3) for w in corpus[::4]]
+    failing = 0
+    for w, v, depth in pairs:
+        got = list(agreement(w, v, depth))
+        assert got == agreement_reference(w, v, depth)
+        for _, z, blocks in got:
+            if z is None:
+                failing += 1
+                for x in blocks.values():
+                    assert_exact(Element(w.n, x, _normal=True))
+            else:
+                assert_exact(z)
+    assert 0 < failing < len(pairs)
+
+
+def test_lambda_apply_matches_the_term_by_term_images(corpus):
+    rng = random.Random(9)
+    for u in corpus[::3]:
+        n = u.n
+        a, b = rng.sample(range(1, n + 1), 2)
+        for x in (Element.word(n, (1, n), (n,)), rotation(n, (a,), (b,), *rng.choice(ANGLES)),
+                  Element(n, [(((1,), (1, 1)), {1: Fraction(2, 3), -1: 5}),
+                              (((n,), ()), Fraction(-3, 4))])):
+            y = lambda_apply(u, x)
+            assert y == lambda_reference(u, x)
+            assert_exact(y)
+
+
+def test_products_of_the_recursion_and_the_unitarity_check_see_ints(monkeypatch):
+    w = UNDECIDED_ROTATION
+    assert decide_preserves(w).verdict == UNDECIDED
+    seen = set()
+
+    def recording(probe):
+        def recorded(index, terms):
+            seen.update(type(q) for c in terms.values() for q in c.values())
+            for entries in index[1].values():
+                seen.update(type(q) for _, _, c in entries for q in c.values())
+            return probe(index, terms)
+        return recorded
+    monkeypatch.setattr(endo, "_probe", recording(endo._probe))
+    monkeypatch.setattr(algebra, "_probe", recording(algebra._probe))
+    assert len(list(agreement(w, gauge(w), 16))) == 16
+    assert is_unitary(w)
+    assert seen == {int}

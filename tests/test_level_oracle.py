@@ -30,6 +30,7 @@ from cuntzcalc.decide import (
 from cuntzcalc.endo import NotSumOfWords, gauge, shift, u_tower
 from cuntzcalc.exprio import render, resolve
 from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
+from oracles import rotation
 
 
 def oracle_level_witness(w, k, towers):
@@ -44,13 +45,6 @@ def oracle_level_witness(w, k, towers):
             if not membership(image, "F"):
                 return x, image
     return None, None
-
-
-def rotation(n, a, b, cos, sin):
-    """Rational rotation in the plane of the equal-length words a, b."""
-    raw = [((a, a), cos), ((a, b), -sin), ((b, a), sin), ((b, b), cos)]
-    raw += [((x, x), 1) for x in product(range(1, n + 1), repeat=len(a)) if x not in (a, b)]
-    return Element(n, raw)
 
 
 def diagonal_phase(n, rng):
