@@ -3,20 +3,23 @@
 Three routes:
 
   direct   the level-k recursion of endo.agreement with v = gauge(w), run
-           to the given depth without cycle detection: level k is
-           preserved iff y_k = w* zt_{k-1} gauge(w) lies in the shift's
-           range.  A failing level names the lexicographically least
-           level-k matrix unit whose image leaves the core, read off the
-           level-1 blocks of y_k.  Refutes or stays undecided.
+           to the given depth: level k is preserved iff
+           y_k = w* zt_{k-1} gauge(w) lies in the shift's range.  A
+           failing level names the lexicographically least level-k matrix
+           unit whose image leaves the core, read off the level-1 blocks
+           of y_k.  The recursion stops at a return to zt_0 = I, after
+           which every level passes; direct still reports no PRESERVES
+           verdict.  Refutes or stays undecided.
 
   cocycle  the same recursion
                zt_1 = phihat(w* gauge(w)),  zt_{k+1} = phihat(w* zt_k gauge(w)),
-           where phihat is the left inverse of the shift, with cycle
-           detection.  Step k is valid iff the argument lies in the
-           shift's range, which happens iff the endomorphism preserves
-           all matrix units of level k.  A repeated state certifies: the
-           recursion is deterministic, so every later state repeats one
-           that passed.  States with terms of degree +-1 may never repeat.
+           where phihat is the left inverse of the shift.  Step k is
+           valid iff the argument lies in the shift's range, which
+           happens iff the endomorphism preserves all matrix units of
+           level k.  A return to zt_0 = I certifies: the recursion is
+           deterministic, so the stream repeats the levels that passed.
+           The step is injective, so no other repeat can occur first.
+           States with terms of degree +-1 may never return.
 
   graph    for sums of words with degrees in {-1, 0, +1}: build the labeled
            overlap digraph of beta-tails and decide the path condition
@@ -358,15 +361,16 @@ def _refutation(method, k, witness, cert):
 def cocycle_run(w, depth, check_unitary=True):
     """Gauge-cocycle recursion; (cocycles, report).
 
-    A repeated state zt_k certifies PRESERVES: the recursion is
-    deterministic and every revisited state has already been validated.
-    check_unitary=False skips the unitarity check, for a w the caller
-    has already validated.
+    A return of the state to zt_0 = I certifies PRESERVES: the recursion
+    is deterministic, so the stream zt_1, ..., zt_k, all validated,
+    repeats from there on.  It is the only repeat that can occur
+    (endo.agreement), so the certificate's cycle starts at 0 and its
+    period is k.  check_unitary=False skips the unitarity check, for a w
+    the caller has already validated.
     """
     if check_unitary and not is_unitary(w):
         raise ValueError("preservation decisions need a unitary input")
     cocycles = []
-    seen = {Element.identity(w.n): 0}
     for k, zt, blocks in agreement(w, gauge(w), depth):
         if zt is None:
             # the certificate shows the failed unshift, the diagonal mean
@@ -374,9 +378,8 @@ def cocycle_run(w, depth, check_unitary=True):
             cert = _with_defect({"cocycle": render(s.scale(Fraction(1, w.n)))}, s, w.n)
             return cocycles, _refutation("cocycle", k, _failing_unit(w.n, k, blocks), cert)
         cocycles.append(zt)
-        first = seen.setdefault(zt, k)
-        if first != k:
-            cert = {"cycle_stream": "accumulated", "cycle_start": first, "period": k - first}
+        if zt.is_identity():
+            cert = {"cycle_stream": "accumulated", "cycle_start": 0, "period": k}
             return cocycles, DecisionReport(PRESERVES, "cocycle", depth=k, certificate=cert)
     return cocycles, DecisionReport(
         UNDECIDED, "cocycle", depth=depth,

@@ -12,7 +12,8 @@ u_k S_a S_b* u_m* with the tower u_k = u phi(u) ... phi^{k-1}(u) (u_0 = I).
 Every level-k question runs one recursion, agreement: z_0 = I,
 y_k = w* z_{k-1} v, z_k = phi^-1(y_k).  The endomorphisms of v and w agree
 on the level-k matrix units iff y_1, ..., y_k all lie in the shift's
-range; with v = gauge(w) that is preservation of the core.  Above the
+range; with v = gauge(w) that is preservation of the core.  It stops at
+the first return to z_0 = I, from where every level passes.  Above the
 first failing level, which the recursion does not reach,
 decide.matrix_unit_witness reads its witness from the images
 lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
@@ -181,9 +182,15 @@ def agreement(w, v, depth):
 
     Yields (k, z_k, None) for k = 1..depth (>= 0) and stops after the
     first level whose y_k leaves the shift's range, yielding
-    (k, None, level-1 blocks of y_k) there.  w and v must be unitaries
-    over the same n.  v is the right factor at every level, so its index
-    is built once per run.
+    (k, None, level-1 blocks of y_k) there.  It also stops after the
+    first passing level with z_k = I, where the stream starts over, so
+    every later level passes.  w and v must be unitaries over the same
+    n.  v is the right factor at every level, so its index is built once
+    per run.
+
+    A return to z_0 = I is the only repeat the stream can make:
+    x -> w* x v is injective because w and v are unitary, and phi is
+    injective, so z_j = z_k with 0 < j < k would force z_(j-1) = z_(k-1).
 
     The recursion runs in int arithmetic: on W = d_w w and V = d_v v
     (algebra._integral), with each state kept as Z_k / e_k, Z_k integral
@@ -210,4 +217,6 @@ def agreement(w, v, depth):
             return
         z, e = _reduced(z, s)
         yield k, z if e == 1 else Element(n, _over(z.terms, e), _normal=True), None
+        if e == 1 and z.is_identity():
+            return
 

@@ -149,7 +149,7 @@ class _Parser:
         letters = tuple(int(ch) for ch in v[1:])
         for letter in letters:
             if not 1 <= letter <= self.n:
-                raise ParseError(f"letter {letter} exceeds n={self.n}", p)
+                raise ParseError(f"letter {letter} out of range for n={self.n}", p)
         if self.peek() == "star":
             self.take()
             return ((), letters)

@@ -396,6 +396,9 @@ def test_letter_validation_and_context():
                      lambda: Element.word(n, (1,)), lambda: Element.gen(n, 1)):
             with pytest.raises(ValueError, match="number of generators"):
                 make()
+    # both ends of 2..9 are valid
+    for n in (2, 9):
+        assert Element.gen(n, n).adjoint() * Element.gen(n, n) == Element.identity(n)
     with pytest.raises(ContextMismatch):
         S1 + Element.gen(3, 1)
 
@@ -549,7 +552,12 @@ def test_membership_basics():
     with pytest.raises(ValueError):
         membership(p1, "Fk")
     with pytest.raises(ValueError):
+        membership(p1, "phik")
+    with pytest.raises(ValueError):
         membership(p1, "bogus")
+    # level 0: the scalars, and every x lies in the range of phi^0
+    assert membership(I.scale(3), "Fk", 0) and not membership(p1, "Fk", 0)
+    assert membership(S1, "phik", 0)
 
 
 def test_gauge_expectation():

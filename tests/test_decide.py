@@ -111,7 +111,11 @@ def test_w_cp_graph_matches_table():
     assert g.vertices == tuple(sorted(W_CP_OVERLAP["labels"]))
     ok, cert = path_condition(g)
     assert ok
-    assert cert["pairs_explored"] >= len(g.vertices)
+    assert (cert["bound"], cert["pairs_explored"]) == (3, 7)
+    # the identity's one class has a loop: one pair, and the search ends at once
+    identity = word((1,), (1,)) + word((2,), (2,))
+    ok, cert = path_condition(build_overlap_graph(sum_of_words_profile(identity)))
+    assert ok and (cert["bound"], cert["pairs_explored"]) == (2, 1)
 
 
 def test_psi1_not_constant_for_v_cp():

@@ -209,6 +209,7 @@ def test_partition_of_unity_matches_pairwise_oracle():
 
 def test_u_tower_recursion():
     for u in (FLIP, W0, W_CP):
+        assert u_tower(u, 0) == I
         t1 = u_tower(u, 1)
         assert t1 == u
         t3 = u_tower(u, 3)

@@ -123,7 +123,7 @@ def test_json_schema_violations():
         '{"n": 2, "terms": [{"alpha": ["1"], "beta": [2], "coeff": [[0, 1, 1]]}]}',
         "not json at all",
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="schema violation"):
             from_json(bad)
     assert from_json(good) == word((1,), (2,))
 
@@ -148,6 +148,10 @@ def test_out_of_range_letters_rejected_at_every_boundary():
             parse(text, n=2)
         with pytest.raises(ParseError):
             resolve(text, n=2)
+    # the parser words it as the Element boundary does; 0 is below the range
+    for text in ("S0", "S102", "S3"):
+        with pytest.raises(ParseError, match=r"letter [03] out of range for n=2"):
+            parse(text, n=2)
 
 
 def test_letters_that_are_not_ints_rejected():

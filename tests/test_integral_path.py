@@ -7,10 +7,13 @@ rotations in level-1 and level-2 planes, composed on the left, on the
 right and through the shift with w_cp, w0 and a permutation unitary,
 plus gauge-twisted diagonal phases and non-unitary scalings.  Each is
 checked against a reference in tests/oracles.py that multiplies the
-rational Elements as they are.
+rational Elements as they are.  agreement stops at the first return to
+z_0 = I, which the reference runs past, so it is checked against the
+reference's levels up to there.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -81,14 +84,27 @@ def test_is_unitary_matches_the_rational_reference(corpus):
     assert [is_unitary(x) for x in others] == [False, False, True, True, False]
 
 
+def assert_matches_the_reference(w, v, depth):
+    """agreement's levels are the reference's up to the first return to
+    z_0 = I, where it stops; from there the reference passes on,
+    repeating z_1, z_2, ... in order.  Returns the levels of both."""
+    got, want = list(agreement(w, v, depth)), agreement_reference(w, v, depth)
+    stop = len(got)
+    assert got == want[:stop]
+    assert not any(z is not None and z.is_identity() for _, z, _ in got[:-1])
+    if stop < len(want):
+        assert got[-1][1].is_identity()
+        assert [z for _, z, _ in want[stop:]] == [z for _, z, _ in want[:len(want) - stop]]
+    return got, want
+
+
 def test_agreement_matches_the_rational_reference(corpus):
     rng = random.Random(5)
     pairs = [(w, gauge(w), 5) for w in corpus]
     pairs += [(w, rng.choice([v for v in corpus if v.n == w.n]), 3) for w in corpus[::4]]
     failing = 0
     for w, v, depth in pairs:
-        got = list(agreement(w, v, depth))
-        assert got == agreement_reference(w, v, depth)
+        got, _ = assert_matches_the_reference(w, v, depth)
         for _, z, blocks in got:
             if z is None:
                 failing += 1
@@ -129,3 +145,55 @@ def test_products_of_the_recursion_and_the_unitarity_check_see_ints(monkeypatch)
     assert len(list(agreement(w, gauge(w), 16))) == 16
     assert is_unitary(w)
     assert seen == {int}
+
+
+def first_repeat(states):
+    """(j, k) for the first k with z_k equal to an earlier z_j, or None;
+    states are z_0 = I, z_1, ... (all passing)."""
+    seen = {}
+    for k, z in enumerate(states):
+        if z in seen:
+            return seen[z], k
+        seen[z] = k
+    return None
+
+
+def test_the_first_repeat_of_the_plain_recursion_is_z0():
+    """Random sums of words repeat at once or fail; the conjugates
+    p w_cp phi(p*) by core unitaries p, against gauge(w) or against
+    p u_cp phi(p*), return to I at level 5."""
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        w = random_sum_of_words_unitary(n, rng, max_splits=2, max_len=3, degree_window=None)
+        a, b = rng.sample(range(1, n + 1), 2)
+        r = rotation(n, (a,), (b,), *rng.choice(ANGLES))
+        for x in (w, r * w, w * shift(r)):
+            other = random_sum_of_words_unitary(n, rng, max_splits=2, max_len=3,
+                                                degree_window=None)
+            pairs += [(x, gauge(x)), (x, other)]
+    w_cp, u_cp = constant("w_cp"), constant("u_cp")
+    for _ in range(4):
+        p = random_permutation_unitary(2, rng.randint(1, 3), rng)
+        r = rotation(2, *rng.choice(PLANES[1]), *rng.choice(ANGLES))
+        for c in (p, r, p * r):
+            x = c * w_cp * shift(c.adjoint())
+            pairs += [(x, gauge(x)), (x, c * u_cp * shift(c.adjoint()))]
+    periods = Counter()
+    for w, v in pairs:
+        levels, reference = assert_matches_the_reference(w, v, 8)
+        states = [Element.identity(w.n)] + [z for _, z, _ in reference if z is not None]
+        repeat = first_repeat(states)
+        if repeat is not None:
+            periods[repeat[1]] += 1
+            assert repeat[0] == 0 and len(levels) == repeat[1]
+    assert periods[1] > 20 and periods[5] == 24
+
+
+def test_the_recursion_stops_at_the_return_to_the_identity():
+    w = constant("w_cp")
+    levels = list(agreement(w, gauge(w), 16))
+    assert len(levels) == 5 and levels[-1][1].is_identity()
+    p = random_permutation_unitary(2, 3, random.Random(1))
+    assert [(k, z.is_identity()) for k, z, _ in agreement(p, gauge(p), 16)] == [(1, True)]
