@@ -8,7 +8,6 @@ from .algebra import (
     membership,
     phi_preimage,
     word_degree,
-    word_mul,
 )
 from .decide import (
     NOT_PRESERVES,

@@ -43,12 +43,13 @@ when their term dicts coincide.  I + S_1^k S_1^k* is stored as
 Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
 indices q, r is a prefix of the other; then it is S_{p t} S_s* if
 r = q t, and S_p S_{s t}* if q = r t.  So the product of two Elements
-never tries all pairs of terms.  It indexes the right factor by its
-alphas, under each alpha and under every prefix of it (_inner_index);
-each beta q of the left factor then finds the alphas that extend q (one
-lookup under q) and those that are proper prefixes of q (one lookup per
-alpha length that occurs), i.e. exactly the surviving pairs (_probe).
-A caller that multiplies by the same right factor many times keeps its
+never tries all pairs of terms.  It files each term of the right factor
+once, at the node of its alpha in a letter trie (_inner_index); each
+beta q of the left factor then walks down the trie, meeting the alphas
+that are proper prefixes of q on the way and finding those that extend
+q in the subtree where q ends, i.e. exactly the surviving pairs
+(_probe).  This walk is the one place where the rule is applied.  A
+caller that multiplies by the same right factor many times keeps its
 index.  A factor equal to the identity is not multiplied at all: the
 other factor is returned as it is.  Coefficient dicts may be shared
 between Elements and are never mutated in place.  The coefficient
@@ -188,23 +189,6 @@ def _is_unit_coeff(a):
 # ---------------------------------------------------------------------------
 # Words
 
-def word_mul(a, b):
-    """Product of two words; a word or None (= zero).
-
-    (S_p S_q*)(S_r S_s*) survives iff q is a prefix of r or r a prefix
-    of q; the leftover letters move to the surviving side.
-    """
-    (pa, qa), (rb, sb) = a, b
-    lq, lr = len(qa), len(rb)
-    if lq <= lr:
-        if rb[:lq] == qa:
-            return (pa + rb[lq:], sb)
-    else:
-        if qa[:lr] == rb:
-            return (pa, sb + qa[lr:])
-    return None
-
-
 def word_degree(t):
     return len(t[0]) - len(t[1])
 
@@ -291,33 +275,48 @@ def _product_terms(xs, ys):
 
 
 def _inner_index(terms):
-    """Index of a right factor's term dict by its alphas (the inner index)."""
-    extends, exact, lengths = {}, {}, set()
+    """Letter trie of a right factor's term dict by its alphas: each node
+    is (children by letter, entries), and each term (a, b, c) is stored
+    once, as an entry at the node of a."""
+    root = ({}, [])
     for (a, b), c in terms.items():
-        entry = (a, b, c)
-        for m in range(len(a) + 1):
-            extends.setdefault(a[:m], []).append(entry)
-        exact.setdefault(a, []).append(entry)
-        lengths.add(len(a))
-    return extends, exact, sorted(lengths)
+        node = root
+        for letter in a:
+            kids = node[0]
+            node = kids.get(letter)
+            if node is None:
+                node = kids[letter] = ({}, [])
+        node[1].append((a, b, c))
+    return root
 
 
 def _probe(index, terms):
     """Raw surviving terms of xs * ys, from the term dict terms of the
-    left factor xs and the index of ys; each beta of xs is looked up."""
-    extends, exact, lengths = index
+    left factor xs and the trie of ys.  Each beta q of xs walks down the
+    trie: the entries it passes before the end of q are the alphas that
+    are proper prefixes of q; the subtree where q ends holds those that
+    extend q."""
     raw = []
     for (p, q), c in terms.items():
-        m = len(q)
-        # indexed alpha r = q t: S_p S_q* S_r S_s* = S_{p t} S_s*
-        for r, s, ci in extends.get(q, ()):
-            raw.append(((p + r[m:], s), _cmul(c, ci)))
-        # q = r t for an indexed alpha r: S_p S_q* S_r S_s* = S_p S_{s t}*
-        for k in lengths:
-            if k >= m:
-                break
-            for _, s, ci in exact.get(q[:k], ()):
+        node = index
+        for k, letter in enumerate(q):
+            kids, entries = node
+            # q = r t for an indexed alpha r: S_p S_q* S_r S_s* = S_p S_{s t}*
+            for _, s, ci in entries:
                 raw.append(((p, s + q[k:]), _cmul(c, ci)))
+            node = kids.get(letter)
+            if node is None:
+                break
+        else:
+            # indexed alpha r = q t: S_p S_q* S_r S_s* = S_{p t} S_s*
+            m = len(q)
+            stack = [node]
+            while stack:
+                kids, entries = stack.pop()
+                for r, s, ci in entries:
+                    raw.append(((p + r[m:], s), _cmul(c, ci)))
+                if kids:
+                    stack.extend(kids.values())
     return raw
 
 

@@ -132,18 +132,22 @@ def word_images(u):
 
     Memoised by prefix: lambda(S_a) = lambda(S_{a[:-1]}) (u S_{a[-1]}), so
     the images of words that share prefixes cost one product per word.
+    A word extends its longest memoised prefix in a loop, not a recursion.
     """
     n = u.n
     factors = {}
     images = {(): Element.identity(n)}
 
     def image(a):
-        y = images.get(a)
-        if y is None:
-            j = a[-1]
+        m = len(a)
+        while a[:m] not in images:
+            m -= 1
+        y = images[a[:m]]
+        for k in range(m, len(a)):
+            j = a[k]
             if j not in factors:
                 factors[j] = u * Element.gen(n, j)
-            y = images[a] = image(a[:-1]) * factors[j]
+            y = images[a[:k + 1]] = y * factors[j]
         return y
 
     return image

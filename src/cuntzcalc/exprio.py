@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Element, word_mul
+from .algebra import Element
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -93,22 +93,17 @@ class _Parser:
 
     def term(self, sign):
         q, gpow = self.coeff()
-        pair = ((), ())
-        saw_factor = False
+        # factor checks the letters; a product of words is one word or zero
+        x, start = Element(self.n, {((), ()): {0: 1}}, _normal=True), self.i
         while self.peek() in ("word", "ident"):
-            saw_factor = True
-            f = self.factor()
-            if pair is not None:
-                pair = word_mul(pair, f)
+            x = x * Element(self.n, {self.factor(): {0: 1}}, _normal=True)
         if q is None:
-            if not saw_factor:
+            if self.i == start:
                 k, v, p = self.tokens[self.i] if self.i < len(self.tokens) else (None, "end of input", self.end)
                 raise ParseError(f"expected a coefficient or a factor, found {v!r}", p)
             q = 1
             gpow = 0
-        if pair is None:
-            return []
-        return [(pair, {gpow: sign * q})] if q else []
+        return [(t, {gpow: sign * q}) for t in x.terms] if q else []
 
     def coeff(self):
         """Leading coefficient of a term, or (None, 0) if absent."""

@@ -1,11 +1,14 @@
 """Reference functions that only the tests call.
 
 Each is a definition the engine does not need, kept here to check the
-engine against: composition of endomorphisms, the gauge expectation, the
-n-covering identity of a sum-of-words profile, diagonality of the level-1
-gauge cocycle, random labeled digraphs for the path-condition search,
-rational rotations, and plain rational-product references for the
-unitarity check, the level-k recursion and the endomorphism action.
+engine against: the product of two words (the all-pairs reference for
+the indexed product), composition of endomorphisms, the gauge
+expectation, the n-covering identity of a sum-of-words profile,
+diagonality of the level-1 gauge cocycle, random labeled digraphs for
+the path-condition search, rational rotations, and plain
+rational-product references for the unitarity check, the level-k
+recursion and the endomorphism action; and the entries of a product
+index, read off its trie.
 """
 
 from itertools import product
@@ -14,6 +17,34 @@ from cuntzcalc.algebra import Element, _canonical, level_blocks, membership, phi
 from cuntzcalc.algebra import word_degree
 from cuntzcalc.decide import OverlapGraph
 from cuntzcalc.endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
+
+
+def word_mul(a, b):
+    """Product of two words; a word or None (= zero).
+
+    (S_p S_q*)(S_r S_s*) survives iff q is a prefix of r or r a prefix
+    of q; the leftover letters move to the surviving side.
+    """
+    (pa, qa), (rb, sb) = a, b
+    lq, lr = len(qa), len(rb)
+    if lq <= lr:
+        if rb[:lq] == qa:
+            return (pa + rb[lq:], sb)
+    else:
+        if qa[:lr] == rb:
+            return (pa, sb + qa[lr:])
+    return None
+
+
+def trie_entries(index):
+    """Every entry (a, b, c) stored in the trie of algebra._inner_index,
+    from a walk of all its nodes."""
+    entries, stack = [], [index]
+    while stack:
+        kids, here = stack.pop()
+        entries += here
+        stack.extend(kids.values())
+    return entries
 
 
 def compose(u, v):

@@ -25,13 +25,12 @@ from cuntzcalc.algebra import (
     phi_preimage,
     shift,
     word_degree,
-    word_mul,
 )
 from cuntzcalc.endo import gauge, lambda_apply
 from cuntzcalc.exprio import constant, from_json, parse, render, to_json
 from cuntzcalc.intertwine import intertwiner_space
 from cuntzcalc.sampling import random_permutation_unitary
-from oracles import gauge_expectation
+from oracles import gauge_expectation, trie_entries, word_mul
 
 N = 2
 I = Element.identity(N)
@@ -155,6 +154,31 @@ def test_reused_index_matches_product_and_all_pairs_oracle():
                 assert _canonical(n, _product_terms(fixed, other)) == all_pairs_product(y, x)
                 shapes[len(other), len(fixed)] += 1
     assert shapes[1, 0] and shapes[8, 0] and shapes[1, 8]
+
+
+def test_trie_stores_each_term_once_at_the_node_of_its_alpha():
+    rng = random.Random(17)
+    for n in (2, 3):
+        for size in (0, 1, 8, 30):
+            terms = random_terms(rng, n, size)
+            index = _inner_index(terms)
+            assert len(trie_entries(index)) == len(terms)
+            for (a, b), c in terms.items():
+                node = index
+                for letter in a:
+                    node = node[0][letter]
+                assert (a, b, c) in node[1]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_long_word_product(n):
+    # a product costs the letters of its words, not their squares
+    one = Element.identity(n)
+    p = Element.word(n, (1,) * 1000, (1,) * 1000)
+    x = one + p
+    assert len(x.terms) == (n - 1) * 1000 + 1
+    assert len(trie_entries(_inner_index(x.terms))) == len(x.terms)
+    assert x * x == one + p.scale(3)
 
 
 def test_large_tower_product_is_unitary():

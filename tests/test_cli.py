@@ -6,8 +6,8 @@ import pytest
 
 from cuntzcalc.cli import main
 from cuntzcalc.decide import build_overlap_graph, export_dot
-from cuntzcalc.endo import sum_of_words_profile
-from cuntzcalc.exprio import resolve
+from cuntzcalc.endo import lambda_apply, sum_of_words_profile
+from cuntzcalc.exprio import constant, render, resolve
 
 W0 = "S1 S11* + S21 S12* + S22 S2*"
 ROT = "3/5 S1 S1* + 4/5 S1 S2* - 4/5 S2 S1* + 3/5 S2 S2*"
@@ -76,6 +76,12 @@ def test_lambda(capsys):
     code, out, _ = run(capsys, "lambda", "--u", "S2 S1* + S1 S2*", "S1")
     assert code == 0
     assert out.strip() == "S2"
+
+
+def test_lambda_on_a_long_word(capsys):
+    code, out, _ = run(capsys, "lambda", "--u", "@u_cp", "S" + "1" * 1100)
+    assert code == 0
+    assert out.strip() == render(lambda_apply(constant("u_cp"), resolve("S" + "1" * 1100, 2)))
 
 
 def test_n_flag(capsys):

@@ -281,6 +281,12 @@ def test_lambda_matches_tower_oracle():
     assert wide > 0
 
 
+def test_lambda_on_a_word_longer_than_the_recursion_limit():
+    # the images extend their memoised prefixes in a loop, not a recursion
+    y = lambda_apply(U_CP, word((1,) * 550))
+    assert lambda_apply(U_CP, word((1,) * 1100)) == y * y
+
+
 def test_lambda_requires_unitary():
     with pytest.raises(ValueError):
         lambda_apply(S1, S1)

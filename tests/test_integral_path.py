@@ -26,7 +26,8 @@ from cuntzcalc.endo import agreement, gauge, is_unitary, lambda_apply, shift
 from cuntzcalc.exprio import constant, resolve
 from cuntzcalc.sampling import random_permutation_unitary, random_prefix_code, \
     random_sum_of_words_unitary
-from oracles import agreement_reference, lambda_reference, rotation, unitary_reference
+from oracles import agreement_reference, lambda_reference, rotation, trie_entries
+from oracles import unitary_reference
 
 ANGLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
           (Fraction(8, 17), Fraction(15, 17)))
@@ -136,8 +137,7 @@ def test_products_of_the_recursion_and_the_unitarity_check_see_ints(monkeypatch)
     def recording(probe):
         def recorded(index, terms):
             seen.update(type(q) for c in terms.values() for q in c.values())
-            for entries in index[1].values():
-                seen.update(type(q) for _, _, c in entries for q in c.values())
+            seen.update(type(q) for _, _, c in trie_entries(index) for q in c.values())
             return probe(index, terms)
         return recorded
     monkeypatch.setattr(endo, "_probe", recording(endo._probe))

@@ -45,8 +45,6 @@ SYMBOL = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">"
 
 # (module, stripped source line, mutation) -> why no test can tell the mutant apart
 EQUIVALENT = {
-    ("algebra.py", "if lq <= lr:", "<= -> <"):
-        "equal lengths give the same product word either way",
     ("algebra.py", "for tail, c in _cylinders(n, tails) if len(tails) > 1 else tails.items():",
      "> -> >="):
         "_cylinders of a single tail returns that tail, as the shortcut does",
@@ -139,10 +137,15 @@ def mutant(source, tree, index, i):
 
 
 def run_suite(root, timeout):
-    """Exit status of one tier-1 run in root, or None on timeout."""
+    """Exit status of one tier-1 run in root, or None on timeout.
+
+    The suite runs without the test of EQUIVALENT itself: that test reads
+    the module's source, which a mutant changes, so it would fail on
+    every mutant whatever the engine does."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--ignore", "tests/test_mutate_table.py", "tests"],
         cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
     try:
