@@ -44,18 +44,18 @@ Product: (S_p S_q*)(S_r S_s*) is nonzero only when one of the inner
 indices q, r is a prefix of the other; then it is S_{p t} S_s* if
 r = q t, and S_p S_{s t}* if q = r t.  So the product of two Elements
 never tries all pairs of terms.  It files each term of the right factor
-once, at the node of its alpha in a letter trie (_inner_index); each
-beta q of the left factor then walks down the trie, meeting the alphas
-that are proper prefixes of q on the way and finding those that extend
-q in the subtree where q ends, i.e. exactly the surviving pairs
-(_probe).  This walk is the one place where the rule is applied.  A
-caller that multiplies by the same right factor many times keeps its
-index.  A factor equal to the identity is not multiplied at all: the
-other factor is returned as it is.  Coefficient dicts may be shared
-between Elements and are never mutated in place.  The coefficient
-helpers never add into a missing key: a new key takes its value as it
-is, and the product of two one-entry dicts is the one product of their
-values.
+once, at the node of its alpha in a letter trie whose nodes also list
+the entries below them (_inner_index).  Each beta q of the left factor
+walks down the trie past the alphas that are proper prefixes of q and
+reads those that extend q off the node where q ends: exactly the
+surviving pairs, for one dict step per letter and one per pair (_probe).
+This walk is the one place where the rule is applied.  A caller that
+multiplies by the same right factor many times keeps its index.  A
+factor equal to the identity is not multiplied at all: the other factor
+is returned as it is.  Coefficient dicts may be shared between Elements
+and are never mutated in place.  The coefficient helpers never add into
+a missing key: a new key takes its value as it is, and the product of
+two one-entry dicts is the one product of their values.
 
 n (an int in 2..9, as letters are digits), letters and gauge powers
 (ints) are checked once, where they enter from outside: by Element(n,
@@ -275,48 +275,42 @@ def _product_terms(xs, ys):
 
 
 def _inner_index(terms):
-    """Letter trie of a right factor's term dict by its alphas: each node
-    is (children by letter, entries), and each term (a, b, c) is stored
-    once, as an entry at the node of a."""
-    root = ({}, [])
+    """Letter trie of a right factor's term dict by its alphas.  A node is
+    (children by letter, here, below): each term (a, b, c) is stored once,
+    in here at the node of a, and below lists every entry at or under the
+    node.  Building costs one dict step and one append per letter."""
+    root = ({}, [], [])
     for (a, b), c in terms.items():
-        node = root
+        node, entry = root, (a, b, c)
         for letter in a:
-            kids = node[0]
-            node = kids.get(letter)
-            if node is None:
-                node = kids[letter] = ({}, [])
-        node[1].append((a, b, c))
+            node[2].append(entry)
+            node = node[0].get(letter) or node[0].setdefault(letter, ({}, [], []))
+        node[1].append(entry)
+        node[2].append(entry)
     return root
 
 
 def _probe(index, terms):
     """Raw surviving terms of xs * ys, from the term dict terms of the
     left factor xs and the trie of ys.  Each beta q of xs walks down the
-    trie: the entries it passes before the end of q are the alphas that
-    are proper prefixes of q; the subtree where q ends holds those that
-    extend q."""
+    trie: the here lists it passes before the end of q hold the alphas
+    that are proper prefixes of q, the below list where q ends those that
+    extend q.  One dict step per letter of q, one step per surviving pair."""
     raw = []
     for (p, q), c in terms.items():
         node = index
         for k, letter in enumerate(q):
-            kids, entries = node
             # q = r t for an indexed alpha r: S_p S_q* S_r S_s* = S_p S_{s t}*
-            for _, s, ci in entries:
+            for _, s, ci in node[1]:
                 raw.append(((p, s + q[k:]), _cmul(c, ci)))
-            node = kids.get(letter)
+            node = node[0].get(letter)
             if node is None:
                 break
         else:
             # indexed alpha r = q t: S_p S_q* S_r S_s* = S_{p t} S_s*
             m = len(q)
-            stack = [node]
-            while stack:
-                kids, entries = stack.pop()
-                for r, s, ci in entries:
-                    raw.append(((p + r[m:], s), _cmul(c, ci)))
-                if kids:
-                    stack.extend(kids.values())
+            for r, s, ci in node[2]:
+                raw.append(((p + r[m:], s), _cmul(c, ci)))
     return raw
 
 

@@ -292,9 +292,11 @@ def matrix_unit_witness(w, k):
 
     Runs the recursion to level k.  A failing level k names the witness
     from its blocks; above the first failing level the recursion stops,
-    and the witness comes from the images of the level-k words.  w must
-    be unitary: a failing level with no failing unit raises ValueError.
+    and the witness comes from the images of the level-k words.  A w that
+    is not unitary raises ValueError.
     """
+    if not is_unitary(w):
+        raise ValueError("matrix_unit_witness needs a unitary w")
     for j, z, blocks in agreement(w, gauge(w), k):
         if z is None:
             x = _failing_unit(w.n, k, blocks) if j == k else _scanned_unit(w, k)

@@ -37,11 +37,11 @@ def word_mul(a, b):
 
 
 def trie_entries(index):
-    """Every entry (a, b, c) stored in the trie of algebra._inner_index,
-    from a walk of all its nodes."""
+    """Every entry (a, b, c) stored in the trie of algebra._inner_index
+    at or under the node index, from a walk of all its nodes' here lists."""
     entries, stack = [], [index]
     while stack:
-        kids, here = stack.pop()
+        kids, here, _ = stack.pop()
         entries += here
         stack.extend(kids.values())
     return entries

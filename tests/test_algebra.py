@@ -158,9 +158,11 @@ def test_reused_index_matches_product_and_all_pairs_oracle():
 
 def test_trie_stores_each_term_once_at_the_node_of_its_alpha():
     rng = random.Random(17)
+    empty_alphas = 0
     for n in (2, 3):
         for size in (0, 1, 8, 30):
             terms = random_terms(rng, n, size)
+            empty_alphas += sum(not a for a, _ in terms)
             index = _inner_index(terms)
             assert len(trie_entries(index)) == len(terms)
             for (a, b), c in terms.items():
@@ -168,6 +170,23 @@ def test_trie_stores_each_term_once_at_the_node_of_its_alpha():
                 for letter in a:
                     node = node[0][letter]
                 assert (a, b, c) in node[1]
+            # each node's below list holds the very entries stored at or under it
+            stack = [index]
+            while stack:
+                node = stack.pop()
+                assert sorted(map(id, node[2])) == sorted(map(id, trie_entries(node)))
+                stack.extend(node[0].values())
+    assert empty_alphas
+
+
+def test_chain_product_matches_all_pairs_oracle():
+    # each level-9 word's empty beta ends at the root, above a 1000-letter unbranched chain
+    n = 2
+    words = Element(n, {(a, ()): {0: 1} for a in product((1, 2), repeat=9)})
+    chain = Element.word(n, (1,) * 1000, (2,))
+    assert len(words.terms) == 512
+    assert words * chain == all_pairs_product(words, chain)
+    assert chain.adjoint() * words.adjoint() == all_pairs_product(chain.adjoint(), words.adjoint())
 
 
 @pytest.mark.parametrize("n", (2, 3))

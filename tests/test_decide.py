@@ -460,10 +460,12 @@ def test_matrix_unit_witness():
     assert render(matrix_unit_witness(W0, 1)) == "S1 S2*"
     assert render(matrix_unit_witness(PHI_W0, 2)) == "S11 S12*"
     assert matrix_unit_witness(W_CP, 3) is None
-    # S1 S1* is not unitary: its recursion fails at level 1, yet no unit fails
-    for k in (1, 2, 3):
-        with pytest.raises(ValueError, match="unitary"):
-            matrix_unit_witness(resolve("S1 S1*", 2), k)
+    # none is unitary, whether its recursion passes (2 I), fails with a
+    # witness (S1 S2*) or fails with no failing unit (S1 S1*)
+    for x in ("2 I", "S1 S2*", "S1 S1*"):
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="unitary"):
+                matrix_unit_witness(resolve(x, 2), k)
 
 
 def test_monomial_defect():
