@@ -7,19 +7,28 @@ x = u shift(x) u*.  Perturbing u by such an x (on the left, or through
 the shift on the right) changes the endomorphism away from the core but
 not on it, which is the mechanism behind the main counterexample.
 
-The fixed points in Span_L = span{S_a S_b* : |a|, |b| <= L} are the
-kernel of the defect map x -> u shift(x) u* - x.  On a spanning word it
-reads u shift(S_a S_b*) u* = sum_i A_{ia} A_{ib}* with A_c = u S_c, so
-each factor A_c (and its adjoint) is formed once, the adjoint, the
-right factor of each product, is indexed by its alphas once
-(algebra._inner_index) so that each of the n products per word only
-probes that index with the betas of A_{ia}, and the raw product terms
-go straight into sparse coordinates, with no normal form.  One padding
-rule (_coordinates) serves the defects and membership, and one pivot
-loop (_eliminate) extracts the kernel.  A kernel vector is 1 at its own
-free column and 0 at every other, so a member's coefficients are its
-coordinates there.  Every basis vector is re-checked as
-u shift(b) u* == b in the Element arithmetic, which does not use that map.
+With T_j = u S_j, a Cuntz family for unitary u, u shift(x) u* is
+sum_i T_i x T_i*, and x is a fixed point exactly when x T_j = T_j x for
+every j (_commute).  So the fixed points in
+Span_L = span{S_a S_b* : |a|, |b| <= L} are the relative commutant
+lambda_u(O_n)' cap Span_L.
+
+intertwiner_space finds that space as the kernel of the defect map
+x -> T(x) - x, T(x) = u shift(x) u*.  On a spanning word it reads
+T(S_a S_b*) = sum_i A_{ia} A_{ib}* with A_c = u S_c, so each factor A_c
+(and its adjoint) is formed once, the adjoint, the right factor of each
+product, is indexed by its alphas once (algebra._inner_index) so that
+each of the n products per word only probes that index with the betas
+of A_{ia}, and the raw product terms go straight into sparse
+coordinates, with no normal form.  T is a *-map, T(x*) = T(x)*, so only
+the words with a <= b are mapped; the column of S_b S_a* is the adjoint
+of the column of S_a S_b*, each row (d, beta, alpha) re-keyed to
+(-d, alpha, beta).  One padding rule (_coordinates) serves the defects
+and membership, and one pivot loop (_eliminate) extracts the kernel.  A
+kernel vector is 1 at its own free column and 0 at every other, so a
+member's coefficients are its coordinates there.  Every basis vector is
+re-checked by the commutators in the Element arithmetic, which does not
+use the defect map.
 """
 
 from dataclasses import dataclass
@@ -44,7 +53,16 @@ def is_self_intertwiner(u, v):
     of u with itself."""
     if not is_unitary(u):
         raise ValueError("self-intertwiner test needs a unitary u")
-    return u * shift(v) * u.adjoint() == v
+    return _commute(u, (v,))
+
+
+def _commute(u, xs):
+    """Whether every x in xs commutes with each T_j = u S_j, which for
+    unitary u says x = u shift(x) u*: if x = sum_i T_i x T_i*, then
+    x T_j = sum_i T_i x T_i* T_j = T_j x, and conversely
+    sum_i T_i x T_i* = x sum_i T_i T_i* = x."""
+    ts = [u * Element.gen(u.n, j) for j in range(1, u.n + 1)]
+    return all(x * t == t * x for x in xs for t in ts)
 
 
 def agree_on_F(v, w, K):
@@ -168,7 +186,8 @@ def _eliminate(pivots, vec, comb):
 
 @dataclass(frozen=True)
 class SpanBasisReport:
-    """Exact basis of {x in Span_L : x = u shift(x) u*}."""
+    """Exact basis of {x in Span_L : x = u shift(x) u*}, the relative
+    commutant lambda_u(O_n)' cap Span_L."""
 
     level: int
     dimension: int
@@ -198,22 +217,27 @@ class SpanBasisReport:
 
 
 def intertwiner_space(u, L):
-    """SpanBasisReport for the fixed points of x -> u shift(x) u* in Span_L.
+    """SpanBasisReport for lambda_u(O_n)' cap Span_L, the fixed points of
+    T(x) = u shift(x) u* in Span_L.
 
-    Exact rational null-space computation.  Every spanning word S_a S_b*
-    is mapped through the fixed-point defect T(x) - x, as the raw terms
-    of sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
+    Exact rational null-space computation of the defect T(x) - x.  Each
+    spanning word S_a S_b* with a <= b is mapped, as the raw terms of
+    sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
     u S_c, each adjoint indexed once as a right factor.  _coordinates
-    pads the terms to the largest raw beta-length per degree, and
-    _eliminate reduces each column in turn; a column that reduces to
-    zero is free, and its combination is a kernel vector (1 there, 0 at
-    every other free column: what coefficients_of reads).  Each basis
-    vector is re-verified as a fixed point through Element products.
+    pads the terms to the largest raw beta-length per degree, lam[d],
+    and as T(x*) = T(x)*, lam[-d] = lam[d] + d and the column of
+    S_b S_a* is that of S_a S_b* with each row (d, beta, alpha) re-keyed
+    to (-d, alpha, beta), padded by the same tails.  _eliminate reduces
+    the columns in the order of the spanning words; a column that
+    reduces to zero is free, and its combination is a kernel vector
+    (1 there, 0 at every other free column: what coefficients_of
+    reads).  Each basis vector is re-verified to commute with every
+    u S_j through Element products.  L must be an int >= 0.
     """
     if not is_unitary(u):
         raise ValueError("intertwiner spaces need a unitary u")
-    if L < 0:
-        raise ValueError("level must be nonnegative")
+    if type(L) is not int or L < 0:
+        raise ValueError(f"level must be a nonnegative int, got {L!r}")
     n = u.n
     words = _span_words(n, L)
     factors = {}
@@ -226,34 +250,41 @@ def intertwiner_space(u, L):
             f = factors[c] = (x.terms, _inner_index(x.adjoint().terms))
         return f
 
-    raws = []
+    raws = {}
     for a, b in words:
-        raw = [((a, b), {0: -1})]
-        for i in range(1, n + 1):
-            raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0])
-        raws.append(raw)
+        if a <= b:
+            raw = [((a, b), {0: -1})]
+            for i in range(1, n + 1):
+                raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0])
+            raws[a, b] = raw
 
     lam = {}
-    for raw in raws:
+    for raw in raws.values():
         for (a, b), _ in raw:
             d = len(a) - len(b)
             lam[d] = max(lam.get(d, 0), len(b))
+    # the unmapped columns hold the adjoint terms: degree -d, beta-length + d
+    for d in list(lam):
+        lam[-d] = max(lam.get(-d, 0), lam[d] + d)
     pads = _tails(n, max(lam.values()))
+
+    cols = {w: _coordinates(raw, lam, pads) for w, raw in raws.items()}
+    for a, b in words:
+        if (a, b) not in cols:
+            # a > b: the adjoint of the column of S_b S_a*
+            cols[a, b] = {(-d, alpha, beta): q for (d, beta, alpha), q in cols[b, a].items()}
 
     pivots = {}
     kernel = {}  # free column j -> kernel combination, with coefficient 1 at j
-    for j, raw in enumerate(raws):
-        comb = _eliminate(pivots, _coordinates(raw, lam, pads), {j: 1})
+    for j, w in enumerate(words):
+        comb = _eliminate(pivots, cols[w], {j: 1})
         if comb is not None:
             kernel[j] = comb
 
     basis = tuple(Element(n, [(words[kk], {0: q}) for kk, q in comb.items()])
                   for comb in kernel.values())
-
-    us = u.adjoint()
-    for b in basis:
-        if u * shift(b) * us != b:
-            raise RuntimeError("internal: kernel vector fails the fixed-point identity")
+    if not _commute(u, basis):
+        raise RuntimeError("internal: a kernel vector fails the fixed-point identity")
     return SpanBasisReport(L, len(basis), basis, tuple(words), tuple(kernel))
 
 

@@ -7,16 +7,19 @@ expectation, the n-covering identity of a sum-of-words profile,
 diagonality of the level-1 gauge cocycle, random labeled digraphs for
 the path-condition search, rational rotations, and plain
 rational-product references for the unitarity check, the level-k
-recursion and the endomorphism action; and the entries of a product
-index, read off its trie.
+recursion and the endomorphism action; the entries of a product
+index, read off its trie; and the bounded-level commutant of the range
+of an endomorphism, by its own Gauss-Jordan reduction.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from cuntzcalc.algebra import Element, _canonical, level_blocks, membership, phi_preimage
 from cuntzcalc.algebra import word_degree
 from cuntzcalc.decide import OverlapGraph
 from cuntzcalc.endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
+from cuntzcalc.intertwine import _span_words
 
 
 def word_mul(a, b):
@@ -131,3 +134,72 @@ def lambda_reference(u, x):
     for (a, b), c in x.terms.items():
         total = total + Element(u.n, {((), ()): c}) * image(a) * image(b).adjoint()
     return total
+
+
+def commutant_space(u, L):
+    """(dimension, basis, free columns) of {x in Span_L : x T_j = T_j x
+    for every j}, T_j = u S_j, over the spanning words of
+    intertwine._span_words.
+
+    Column x of the map x -> (x T_j - T_j x)_j is formed from word_mul
+    products, each term padded by the Cuntz relation to the longest beta
+    of its degree, and the matrix is brought to reduced row echelon form
+    over Fraction by Gauss-Jordan, the columns taken in order.  A column
+    without a pivot is free, and its basis vector is 1 there, 0 at every
+    other free column and minus its pivot rows' entries elsewhere.
+    """
+    n = u.n
+    words = _span_words(n, L)
+    ts = [(u * Element.gen(n, j)).terms for j in range(1, n + 1)]
+    columns = []
+    for x in words:
+        raw = []
+        for j, t in enumerate(ts):
+            for y, c in t.items():
+                if set(c) != {0}:
+                    raise ValueError("the commutant oracle works over plain rationals")
+                for z, q in ((word_mul(x, y), c[0]), (word_mul(y, x), -c[0])):
+                    if z is not None:
+                        raw.append((j, z, Fraction(q)))
+        columns.append(raw)
+    lam = {}
+    for raw in columns:
+        for _, (a, b), _ in raw:
+            lam[len(a) - len(b)] = max(lam.get(len(a) - len(b), 0), len(b))
+    keyed = {}
+    for col, raw in enumerate(columns):
+        for j, (a, b), q in raw:
+            d = len(a) - len(b)
+            for rho in product(range(1, n + 1), repeat=lam[d] - len(b)):
+                row = keyed.setdefault((j, d, b + rho, a + rho), {})
+                row[col] = row.get(col, 0) + q
+    rows = [{col: q for col, q in row.items() if q} for row in keyed.values()]
+    where = {}  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for col in row:
+            where.setdefault(col, set()).add(i)
+    lead = {}  # pivot column -> its row, 1 there and 0 at every other pivot column
+    for col in range(len(words)):
+        pending = where.get(col, set()) - set(lead.values())
+        if not pending:
+            continue
+        i = lead[col] = min(pending)
+        pivot = rows[i]
+        f = pivot[col]
+        for k in pivot:
+            pivot[k] /= f
+        for r in where[col] - {i}:
+            row, f = rows[r], rows[r][col]
+            for k, q in pivot.items():
+                v = row.get(k, 0) - f * q
+                if v:
+                    row[k] = v
+                    where.setdefault(k, set()).add(r)
+                else:
+                    row.pop(k, None)
+                    where[k].discard(r)
+    free = [col for col in range(len(words)) if col not in lead]
+    basis = tuple(Element(n, [(words[j], {0: 1})]
+                          + [(words[c], {0: -rows[i][j]}) for c, i in lead.items() if j in rows[i]])
+                  for j in free)
+    return len(free), basis, tuple(free)

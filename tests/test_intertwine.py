@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import cuntzcalc
 from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
 from cuntzcalc.endo import (
     NotSumOfWords,
@@ -25,7 +27,9 @@ from cuntzcalc.intertwine import (
     perturb,
 )
 from cuntzcalc.sampling import random_permutation_unitary, random_sum_of_words_unitary
-from oracles import compose, normalizer_cocycle_check
+from oracles import commutant_space, compose, normalizer_cocycle_check
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 N = 2
 I = Element.identity(N)
@@ -46,6 +50,11 @@ def test_self_intertwiner_examples():
     assert not is_self_intertwiner(U_CP, FLIP)
     with pytest.raises(ValueError):
         is_self_intertwiner(Element.gen(N, 1), I)
+    # the commutator test answers as the fixed-point identity it replaces
+    us = U_CP.adjoint()
+    for x in intertwiner_space(U_CP, 2).basis + (FLIP, V_CP * V_CP, V_CP + FLIP, W0):
+        for y in (x, x.adjoint(), x.scale(3) - I):
+            assert is_self_intertwiner(U_CP, y) == (U_CP * shift(y) * us == y)
 
 
 def test_self_intertwiners_form_an_algebra():
@@ -189,6 +198,10 @@ def test_space_degenerate_levels():
         intertwiner_space(Element.gen(N, 1), 1)
     with pytest.raises(ValueError):
         intertwiner_space(U_CP, -1)
+    # not an int: True would pass as level 1, and 2.0 fail inside itertools
+    for level in (True, 2.0):
+        with pytest.raises(ValueError):
+            intertwiner_space(U_CP, level)
 
 
 def test_space_members_are_fixed_points_for_random_permutations():
@@ -293,6 +306,44 @@ def test_space_matches_the_element_oracle():
             assert rep.coefficients_of(member + Element(u.n, {(a, b): {0: 1}})) is None
     # not only the scalars: u_cp reaches 21 at level 3
     assert max(dims) == 21
+
+
+def flip_flop(n):
+    """The permutation unitary sum_{i,j} S_ij S_ji*, whose space has
+    dimension n^2 at levels 1 and 2."""
+    return Element(n, [(((i, j), (j, i)), {0: 1})
+                       for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
+def test_space_is_the_commutant_of_the_range(monkeypatch):
+    # the fixed points are the x commuting with every u S_j, computed by a
+    # reduction that shares no code with _coordinates or _eliminate
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    monkeypatch.setattr(run, "import_engine", lambda: cuntzcalc)
+    strata = {}
+    for item in run.setup("intertwine", 1)[1]:
+        strata.setdefault((item.kind, item.level), (item.w, item.level))
+    assert {L for kind, L in strata if kind == "u_cp"} == {3, 4}
+    cases = list(strata.values()) + [(U_CP, L) for L in range(3)]
+    three = random_permutation_unitary(3, 2, random.Random(189))
+    cases += [(flip_flop(3), 2), (flip_flop(4), 1), (three, 2), (ROT, 2), (ROT, 3)]
+    dims = []
+    for u, L in cases:
+        rep = intertwiner_space(u, L)
+        dim, basis, free = commutant_space(u, L)
+        assert (rep.dimension, rep._free) == (dim, free)
+        assert [to_json(b) for b in rep.basis] == [to_json(b) for b in basis]
+        # the space is closed under adjoints
+        for b in rep.basis:
+            assert rep.contains(b.adjoint())
+        dims.append(dim)
+    assert dims[-5:] == [9, 16, 5, 1, 1]
+    assert 21 in dims and 25 in dims
+    # and under products, which land in Span_2L
+    low, high = intertwiner_space(U_CP, 2), intertwiner_space(U_CP, 4)
+    assert all(high.contains(x * y) for x in low.basis for y in low.basis)
 
 
 def test_space_needs_plain_rational_defects():
