@@ -33,8 +33,9 @@ function on infinite words: the value of the projections P_gamma is
 carried by the cylinder [gamma] of words that start with gamma.  The
 Cuntz relation only splits or joins cylinders, so f is an invariant of
 the element.  The stored form keeps, under each root, the maximal
-cylinders on which f is constant and nonzero (_cylinders, a loop over
-the trie of the tails, not bounded by the recursion depth).  No two
+cylinders on which f is constant and nonzero (_cylinders: one walk over
+the sorted tails with a stack of open trie nodes, a loop that the
+recursion depth does not bound).  No two
 terms under one root nest, and no complete n-family of siblings with
 equal coefficients is left, so two Elements are equal in O_n exactly
 when their term dicts coincide.  I + S_1^k S_1^k* is stored as
@@ -95,6 +96,15 @@ class ContextMismatch(ValueError):
 def _check_n(n):
     if not isinstance(n, int) or not 2 <= n <= 9:
         raise ValueError(f"number of generators must be an int in 2..9, got {n!r}")
+
+
+def _check_level(k, name):
+    """Refuse a depth or level other than an int >= 0: True would count
+    as 1, and a float would fail later inside range()."""
+    if type(k) is not int:
+        raise ValueError(f"{name} must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"{name} must be >= 0, got {k}")
 
 
 def _check_powers(powers):
@@ -204,8 +214,9 @@ def _check_letters(n, idx):
 def _normal_form(n, raw):
     """Canonical term dict from an iterable of ((alpha, beta), coeffdict).
 
-    Groups the terms by root (see the module docstring); a root with one
-    tail is already coarsest, the others go through _cylinders.
+    Groups the terms by root (see the module docstring); a diagonal
+    word S_a S_a* goes straight to the root ((), ()) with tail a.  A root
+    with one tail is already coarsest, the others go through _cylinders.
     """
     roots = {}
     for t, c in raw:
@@ -213,7 +224,9 @@ def _normal_form(n, raw):
             continue
         a, b = t
         tail = ()
-        if a and b and a[-1] == b[-1]:
+        if a == b:
+            t, tail = ((), ()), a
+        elif a and b and a[-1] == b[-1]:
             la, lb = len(a), len(b)
             m = 1
             while m < la and m < lb and a[-1 - m] == b[-1 - m]:
@@ -234,38 +247,37 @@ def _cylinders(n, tails):
     """Maximal cylinders of f = sum_t tails[t] [t], as (gamma, value)
     for each largest [gamma] on which f is constant and nonzero.
 
-    The trie of all prefixes of the tails is walked twice in order of
-    length, with loops only: down, to sum f along each path, and up,
-    children before parents, to find the nodes on which f is constant.
-    A node that is not constant emits its constant children; a child
-    that is no prefix of a tail carries its parent's sum.
+    One walk over the sorted tails, in which a prefix comes just before
+    its extensions, keeps a stack of the open nodes of their trie: each
+    node holds its prefix, the sum of the tails above and at it, and the
+    values of its closed children by letter.  A node closes when the
+    next tail leaves its subtree.  A child that is no prefix of a tail
+    carries its parent's sum, so a closed node is constant when its n
+    children carry one value; otherwise it gives up its nonzero children
+    as cylinders.
     """
-    nodes = set()
-    for t in tails:
-        for m in range(len(t), -1, -1):
-            if t[:m] in nodes:
-                break
-            nodes.add(t[:m])
-    order = sorted(nodes, key=len)
-    acc = {}
-    for v in order:
-        c = tails.get(v)
-        up = acc[v[:-1]] if v else {}
-        acc[v] = _cadd(up, c) if c else up
-    out, kids = [], {}
-    for v in reversed(order):
-        value = acc[v]
-        below = kids.pop(v, None)
-        if below is not None:
-            values = [below.get(i, value) for i in range(1, n + 1)]
-            value = values[0]
-            if value is None or any(x != value for x in values[1:]):
-                value = None
-                out.extend((v + (i,), x) for i, x in enumerate(values, 1) if x)
-        if v:
-            kids.setdefault(v[:-1], {})[v[-1]] = value
-        elif value:
-            out.append(((), value))
+    out = []
+    stack = [((), tails.get(()) or {}, {})]
+    # the final None closes every node, the root last
+    for t in [*sorted(tails), None]:
+        while stack and (t is None or t[:len(stack[-1][0])] != stack[-1][0]):
+            v, value, kids = stack.pop()
+            if kids:
+                values = [kids.get(i, value) for i in range(1, n + 1)]
+                value = values[0]
+                if values.count(value) != n:
+                    value = None
+                    out.extend((v + (i,), x) for i, x in enumerate(values, 1) if x)
+            if stack:
+                stack[-1][2][v[-1]] = value
+            elif value:
+                out.append(((), value))
+        if t:
+            v, sums, _ = stack[-1]
+            for m in range(len(v) + 1, len(t)):
+                stack.append((t[:m], sums, {}))
+            c = tails[t]
+            stack.append((t, _cadd(sums, c) if c else sums, {}))
     return out
 
 
@@ -578,8 +590,7 @@ def phi_preimage(x, k=1):
     One level at a time, each a test of the level-1 blocks of x
     (shift_preimage); the test stops at the first level that fails.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_level(k, "k")
     for _ in range(k):
         x = shift_preimage(x.n, level_blocks(x, 1))
         if x is None:
@@ -598,14 +609,12 @@ def membership(x, target, k=None):
     if target == "F":
         return all(word_degree(t) == 0 for t in x.terms)
     if target == "Fk":
-        if k is None or k < 0:
-            raise ValueError("target Fk needs a level k >= 0")
+        _check_level(k, "the level k of target Fk")
         return membership(x, "F") and x.max_level() <= k
     if target == "D":
         return all(a == b for a, b in x.terms)
     if target == "phik":
-        if k is None or k < 0:
-            raise ValueError("target phik needs a level k >= 0")
+        _check_level(k, "the level k of target phik")
         return phi_preimage(x, k) is not None
     raise ValueError(f"unknown membership target {target!r}")
 

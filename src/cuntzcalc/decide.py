@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _cconj, _cmul, _exact, _integral, diagonal_sum, membership
+from .algebra import Element, _cconj, _check_level, _cmul, _exact, _integral, diagonal_sum
+from .algebra import membership
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -258,7 +259,7 @@ def _failing_unit(n, k, blocks):
         if not rows:
             return None
         row = min(rows)
-    return Element(n, {((1,) * k, (1,) * (k - 1) + row): {0: 1}})
+    return Element(n, {((1,) * k, (1,) * (k - 1) + row): {0: 1}}, _normal=True)
 
 
 def _scanned_unit(w, k):
@@ -278,12 +279,12 @@ def _scanned_unit(w, k):
     ge = gauge(e)
     x = e.adjoint() * ge
     if ge != e * x:
-        return Element(w.n, {(one, one): {0: 1}})
+        return Element(w.n, {(one, one): {0: 1}}, _normal=True)
     xs = x.adjoint()
     for r in product(range(1, w.n + 1), repeat=k):
         e = image(r)
         if e != gauge(e) * xs:
-            return Element(w.n, {(one, r): {0: 1}})
+            return Element(w.n, {(one, r): {0: 1}}, _normal=True)
     return None
 
 
@@ -399,8 +400,7 @@ def decide_preserves(w, method="auto", depth=16):
     """
     if method not in ("auto", "graph", "cocycle", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_level(depth, "depth")
 
     if method == "direct":
         return direct_check(w, depth)

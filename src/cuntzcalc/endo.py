@@ -20,9 +20,9 @@ lambda(S_a) = u_k S_a of word_images.  No engine code builds the tower,
 which has about n^k terms.
 """
 
-from .algebra import Element, _canonical, _check_powers, _cmul, _inner_index, _integral
-from .algebra import _is_unit_coeff, _normal_form, _over, _probe, _product_terms, _reduced
-from .algebra import level_blocks, shift_preimage, word_degree
+from .algebra import Element, _canonical, _check_level, _check_powers, _cmul, _inner_index
+from .algebra import _integral, _is_unit_coeff, _normal_form, _over, _probe, _product_terms
+from .algebra import _reduced, level_blocks, shift_preimage, word_degree
 # re-exported for bench/tracer.py, which wraps endo.shift and endo.left_inverse
 from .algebra import left_inverse, shift  # noqa: F401
 
@@ -184,8 +184,8 @@ def lambda_apply(u, x, check_unitary=True):
 def agreement(w, v, depth):
     """The recursion y_k = w* z_{k-1} v, z_k = phi^-1(y_k) from z_0 = I.
 
-    Yields (k, z_k, None) for k = 1..depth (>= 0) and stops after the
-    first level whose y_k leaves the shift's range, yielding
+    Yields (k, z_k, None) for k = 1..depth (an int >= 0) and stops after
+    the first level whose y_k leaves the shift's range, yielding
     (k, None, level-1 blocks of y_k) there.  It also stops after the
     first passing level with z_k = I, where the stream starts over, so
     every later level passes.  w and v must be unitaries over the same
@@ -203,8 +203,7 @@ def agreement(w, v, depth):
     pattern do not change under a positive scale.  Rationals are made
     only where a value leaves: the yielded z_k and the failing blocks.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_level(depth, "depth")
     w._require_same(v)
     n = w.n
     W, dw = _integral(w)

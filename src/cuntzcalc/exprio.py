@@ -156,38 +156,31 @@ def parse(text, n=2):
     return _Parser(text, n).parse()
 
 
-def _fmt_index(idx):
-    return "".join(str(i) for i in idx)
-
-
 def render(x):
-    """Canonical text form; parse(render(x)) == x."""
-    if x.is_zero():
+    """Canonical text form; parse(render(x)) == x.
+
+    Each value prints from its numerator and denominator (ints carry
+    them too), its sign read once; each term's word text is built once.
+    """
+    if not x.terms:
         return "0"
     chunks = []
     for (a, b), c in x.sorted_terms():
+        if a:
+            word = "S" + "".join(map(str, a)) + (" S" + "".join(map(str, b)) + "*" if b else "")
+        else:
+            word = "S" + "".join(map(str, b)) + "*" if b else "I"
         for gpow in sorted(c):
             q = c[gpow]
-            pieces = []
-            if abs(q) != 1:
-                pieces.append(str(abs(q)))
-            if gpow != 0:
-                pieces.append(f"g^{gpow}")
-            if not a and not b:
-                pieces.append("I")
+            num, den = q.numerator, q.denominator
+            if num < 0:
+                sign, num = " - ", -num
             else:
-                if a:
-                    pieces.append(f"S{_fmt_index(a)}")
-                if b:
-                    pieces.append(f"S{_fmt_index(b)}*")
-            chunks.append((q < 0, " ".join(pieces)))
-    out = []
-    for i, (neg, body) in enumerate(chunks):
-        if i == 0:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out)
+                sign = " + "
+            scalar = f"{num}/{den} " if den != 1 else f"{num} " if num != 1 else ""
+            chunks.append(f"{sign}{scalar}g^{gpow} {word}" if gpow else f"{sign}{scalar}{word}")
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # ---------------------------------------------------------------------------

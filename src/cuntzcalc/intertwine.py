@@ -16,8 +16,8 @@ lambda_u(O_n)' cap Span_L.
 intertwiner_space finds that space as the kernel of the defect map
 x -> T(x) - x, T(x) = u shift(x) u*.  On a spanning word it reads
 T(S_a S_b*) = sum_i A_{ia} A_{ib}* with A_c = u S_c, so each factor A_c
-(and its adjoint) is formed once, the adjoint, the right factor of each
-product, is indexed by its alphas once (algebra._inner_index) so that
+is formed once.  Its adjoint, the right factor of a product, is indexed
+by its alphas (algebra._inner_index) once, on its first probe, so that
 each of the n products per word only probes that index with the betas
 of A_{ia}, and the raw product terms go straight into sparse
 coordinates, with no normal form.  T is a *-map, T(x*) = T(x)*, so only
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _canonical, _inner_index, _probe, membership, phi_preimage, shift
+from .algebra import Element, _canonical, _check_level, _inner_index, _probe, membership
+from .algebra import phi_preimage, shift
 from .endo import agreement, gauge, is_unitary
 
 
@@ -85,18 +86,22 @@ def perturb(u, v, order="left"):
     """v·u or u·shift(v) for a self-intertwiner v of the endomorphism of u.
 
     Either product has the same restriction to the core as u itself; the
-    construction re-verifies that to level 3 before returning.
+    construction re-verifies that to level 3 before returning.  u and the
+    product are each checked for unitarity once: a self-intertwiner that
+    is not unitary, such as 2I, makes a product that is not unitary.
     """
     if order not in ("left", "shift_right"):
         raise ValueError(f"unknown order {order!r}")
     if not is_unitary(u):
         raise ValueError("perturb needs a unitary u")
-    if not is_self_intertwiner(u, v):
+    if not _commute(u, (v,)):
         raise PreconditionFailed("v is not a self-intertwiner of u")
     w = v * u if order == "left" else u * shift(v)
-    ok, level = agree_on_F(u, w, 3)
-    if not ok:
-        raise RuntimeError(f"internal: perturbation broke core agreement at level {level}")
+    if not is_unitary(w):
+        raise ValueError("agreement check needs unitary inputs")
+    for level, z, _ in agreement(w, u, 3):
+        if z is None:
+            raise RuntimeError(f"internal: perturbation broke core agreement at level {level}")
     return w
 
 
@@ -223,31 +228,36 @@ def intertwiner_space(u, L):
     Exact rational null-space computation of the defect T(x) - x.  Each
     spanning word S_a S_b* with a <= b is mapped, as the raw terms of
     sum_i (u S_{ia})(u S_{ib})* and -S_a S_b*, from memoised factors
-    u S_c, each adjoint indexed once as a right factor.  _coordinates
-    pads the terms to the largest raw beta-length per degree, lam[d],
-    and as T(x*) = T(x)*, lam[-d] = lam[d] + d and the column of
-    S_b S_a* is that of S_a S_b* with each row (d, beta, alpha) re-keyed
-    to (-d, alpha, beta), padded by the same tails.  _eliminate reduces
-    the columns in the order of the spanning words; a column that
-    reduces to zero is free, and its combination is a kernel vector
+    u S_c, each adjoint indexed on its first use as a right factor.
+    _coordinates pads the terms to the largest raw beta-length per
+    degree, lam[d], and as T(x*) = T(x)*, lam[-d] = lam[d] + d and the
+    column of S_b S_a* is that of S_a S_b* with each row (d, beta, alpha)
+    re-keyed to (-d, alpha, beta), padded by the same tails.  _eliminate
+    reduces the columns in the order of the spanning words; a column
+    that reduces to zero is free, and its combination is a kernel vector
     (1 there, 0 at every other free column: what coefficients_of
     reads).  Each basis vector is re-verified to commute with every
     u S_j through Element products.  L must be an int >= 0.
     """
     if not is_unitary(u):
         raise ValueError("intertwiner spaces need a unitary u")
-    if type(L) is not int or L < 0:
-        raise ValueError(f"level must be a nonnegative int, got {L!r}")
+    _check_level(L, "level")
     n = u.n
     words = _span_words(n, L)
-    factors = {}
+    factors, indices = {}, {}
 
     def factor(c):
-        # terms of u S_c, and the index of its adjoint
-        f = factors.get(c)
+        # u S_c
+        x = factors.get(c)
+        if x is None:
+            x = factors[c] = u * Element.word(n, c)
+        return x
+
+    def index(c):
+        # the index of (u S_c)*, built on its first probe
+        f = indices.get(c)
         if f is None:
-            x = u * Element.word(n, c)
-            f = factors[c] = (x.terms, _inner_index(x.adjoint().terms))
+            f = indices[c] = _inner_index(factor(c).adjoint().terms)
         return f
 
     raws = {}
@@ -255,7 +265,7 @@ def intertwiner_space(u, L):
         if a <= b:
             raw = [((a, b), {0: -1})]
             for i in range(1, n + 1):
-                raw += _probe(factor((i,) + b)[1], factor((i,) + a)[0])
+                raw += _probe(index((i,) + b), factor((i,) + a).terms)
             raws[a, b] = raw
 
     lam = {}

@@ -8,14 +8,16 @@ diagonality of the level-1 gauge cocycle, random labeled digraphs for
 the path-condition search, rational rotations, and plain
 rational-product references for the unitarity check, the level-k
 recursion and the endomorphism action; the entries of a product
-index, read off its trie; and the bounded-level commutant of the range
-of an endomorphism, by its own Gauss-Jordan reduction.
+index, read off its trie; the bounded-level commutant of the range of
+an endomorphism, by its own Gauss-Jordan reduction; and the two-pass
+cylinder merge and the Fraction-operator printer that the normal form
+and exprio.render replaced.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from cuntzcalc.algebra import Element, _canonical, level_blocks, membership, phi_preimage
+from cuntzcalc.algebra import Element, _cadd, _canonical, level_blocks, membership, phi_preimage
 from cuntzcalc.algebra import word_degree
 from cuntzcalc.decide import OverlapGraph
 from cuntzcalc.endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
@@ -48,6 +50,79 @@ def trie_entries(index):
         entries += here
         stack.extend(kids.values())
     return entries
+
+
+def cylinders(n, tails):
+    """Maximal cylinders of f = sum_t tails[t] [t], as (gamma, value)
+    for each largest [gamma] on which f is constant and nonzero.
+
+    The trie of all prefixes of the tails is walked twice in order of
+    length, with loops only: down, to sum f along each path, and up,
+    children before parents, to find the nodes on which f is constant.
+    A node that is not constant emits its constant children; a child
+    that is no prefix of a tail carries its parent's sum.
+    """
+    nodes = set()
+    for t in tails:
+        for m in range(len(t), -1, -1):
+            if t[:m] in nodes:
+                break
+            nodes.add(t[:m])
+    order = sorted(nodes, key=len)
+    acc = {}
+    for v in order:
+        c = tails.get(v)
+        up = acc[v[:-1]] if v else {}
+        acc[v] = _cadd(up, c) if c else up
+    out, kids = [], {}
+    for v in reversed(order):
+        value = acc[v]
+        below = kids.pop(v, None)
+        if below is not None:
+            values = [below.get(i, value) for i in range(1, n + 1)]
+            value = values[0]
+            if value is None or any(x != value for x in values[1:]):
+                value = None
+                out.extend((v + (i,), x) for i, x in enumerate(values, 1) if x)
+        if v:
+            kids.setdefault(v[:-1], {})[v[-1]] = value
+        elif value:
+            out.append(((), value))
+    return out
+
+
+def _fmt_index(idx):
+    return "".join(str(i) for i in idx)
+
+
+def render(x):
+    """Canonical text form; parse(render(x)) == x."""
+    if x.is_zero():
+        return "0"
+    chunks = []
+    for (a, b), c in x.sorted_terms():
+        for gpow in sorted(c):
+            q = c[gpow]
+            pieces = []
+            if abs(q) != 1:
+                pieces.append(str(abs(q)))
+            if gpow != 0:
+                pieces.append(f"g^{gpow}")
+            if not a and not b:
+                pieces.append("I")
+            else:
+                if a:
+                    pieces.append(f"S{_fmt_index(a)}")
+                if b:
+                    pieces.append(f"S{_fmt_index(b)}*")
+            chunks.append((q < 0, " ".join(pieces)))
+    out = []
+    for i, (neg, body) in enumerate(chunks):
+        if i == 0:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(out)
 
 
 def compose(u, v):

@@ -15,6 +15,7 @@ from cuntzcalc.algebra import (
     _cconj,
     _cmul,
     _cneg,
+    _cylinders,
     _inner_index,
     _probe,
     _product_terms,
@@ -30,7 +31,7 @@ from cuntzcalc.endo import gauge, lambda_apply
 from cuntzcalc.exprio import constant, from_json, parse, render, to_json
 from cuntzcalc.intertwine import intertwiner_space
 from cuntzcalc.sampling import random_permutation_unitary
-from oracles import gauge_expectation, trie_entries, word_mul
+from oracles import cylinders, gauge_expectation, trie_entries, word_mul
 
 N = 2
 I = Element.identity(N)
@@ -265,6 +266,34 @@ def test_partial_family_stays_expanded():
     assert x.max_level() == 2
     assert len(x.terms) == 3  # P_2 stays one cylinder; {S11, S12} stays uncontracted
     assert sorted(x.degrees()) == [0]
+
+
+@st.composite
+def tail_sets(draw):
+    """(n, tails) for _cylinders: n = 2..4, up to 8 tails of length 0..4,
+    values with g-powers or emptied by cancellation, and sometimes a
+    complete family of siblings with one value."""
+    n = draw(st.integers(2, 4))
+    tail = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    value = st.one_of(st.just({}), st.just({0: 1, 1: -1}),
+                      st.builds(lambda m, q: {m: q}, st.integers(-2, 2),
+                                st.sampled_from([1, -1, 2, Fraction(1, 2)])))
+    tails = draw(st.dictionaries(tail, value, max_size=8))
+    if draw(st.booleans()):
+        parent = draw(st.lists(st.integers(1, n), max_size=3).map(tuple))
+        tails.update(dict.fromkeys([parent + (i,) for i in range(1, n + 1)], draw(value)))
+    return n, tails
+
+
+def cylinder_set(pairs):
+    return sorted((gamma, sorted(c.items())) for gamma, c in pairs)
+
+
+@settings(**SETTINGS)
+@given(tail_sets())
+def test_cylinders_match_the_two_pass_reference(nt):
+    n, tails = nt
+    assert cylinder_set(_cylinders(n, tails)) == cylinder_set(cylinders(n, tails))
 
 
 def test_mixed_degree_groups_are_independent():
@@ -514,6 +543,10 @@ def test_phi_preimage_roundtrip():
     assert phi_preimage(x) is None
     assert phi_preimage(shift(x), 2) is None
     assert membership(shift(x), "phik", 2) is False
+    # not an int: True would count as 1, and 2.0 fail inside range()
+    for k in (True, 2.0, 2.5, -1):
+        with pytest.raises(ValueError, match="k must be"):
+            phi_preimage(shift(x), k)
 
 
 def word_by_word_left_inverse(x):
@@ -598,6 +631,11 @@ def test_membership_basics():
         membership(p1, "phik")
     with pytest.raises(ValueError):
         membership(p1, "bogus")
+    # not an int: Fk would compare against a float, phik fail inside range()
+    for target in ("Fk", "phik"):
+        for k in (True, 1.0, 1.5, -1):
+            with pytest.raises(ValueError, match=f"target {target}"):
+                membership(p1, target, k)
     # level 0: the scalars, and every x lies in the range of phi^0
     assert membership(I.scale(3), "Fk", 0) and not membership(p1, "Fk", 0)
     assert membership(S1, "phik", 0)

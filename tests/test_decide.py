@@ -307,6 +307,13 @@ def test_depth_zero_checks_no_level():
     assert decide_preserves(W_DEG2, depth=1).failing_level == 1
     with pytest.raises(ValueError, match="depth must be >= 0"):
         decide_preserves(W_DEG2, depth=-1)
+    # not an int: True would count as depth 1, and 2.0 fail inside range()
+    for depth in (True, False, 2.0, 2.5):
+        for method in ("auto", "graph", "cocycle", "direct"):
+            with pytest.raises(ValueError, match="depth must be an int"):
+                decide_preserves(W0, method=method, depth=depth)
+        with pytest.raises(ValueError, match="depth must be an int"):
+            cocycle_run(W0, depth)
 
 
 def test_rotation_in_core_preserves():
@@ -466,6 +473,10 @@ def test_matrix_unit_witness():
         for k in (1, 2, 3):
             with pytest.raises(ValueError, match="unitary"):
                 matrix_unit_witness(resolve(x, 2), k)
+    # True would name the level-1 witness S1 S2*
+    for k in (True, 2.0, 2.5, -1):
+        with pytest.raises(ValueError, match="depth"):
+            matrix_unit_witness(W0, k)
 
 
 def test_monomial_defect():

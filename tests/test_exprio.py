@@ -15,6 +15,7 @@ from cuntzcalc.exprio import (
     resolve,
     to_json,
 )
+from oracles import render as render_reference
 
 N = 2
 
@@ -93,6 +94,29 @@ def test_render_canonical_shapes():
         "1/2 g^1 I + S12"
     x = word((2,), (1,)) - word((1,), (2,), 3)
     assert render(x) == "S2 S1* - 3 S1 S2*"
+
+
+@st.composite
+def printed_elements(draw):
+    """Elements over n = 2..4 with int, Fraction and negative values and
+    g-powers, among them I, pure S_a and pure S_b* terms."""
+    n = draw(st.integers(2, 4))
+    idx = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    value = st.one_of(st.integers(-12, 12).filter(bool),
+                      st.fractions(max_denominator=9).filter(bool))
+    shapes = st.one_of(st.tuples(idx, idx), st.tuples(idx, st.just(())),
+                       st.tuples(st.just(()), idx), st.just(((), ())))
+    raw = draw(st.lists(st.tuples(shapes, st.dictionaries(st.integers(-3, 3), value, max_size=2)),
+                        max_size=5))
+    return Element(n, raw)
+
+
+@settings(**SETTINGS)
+@given(printed_elements())
+def test_render_matches_the_fraction_operator_reference(x):
+    # a product of rationals can store an integral Fraction, which prints as an int
+    for z in (x, x.adjoint(), x * x.adjoint()):
+        assert render(z) == render_reference(z)
 
 
 @settings(**SETTINGS)

@@ -72,6 +72,10 @@ def test_agree_on_F():
     assert agree_on_F(FLIP, I, 2) == (False, 1)
     with pytest.raises(ValueError):
         agree_on_F(Element.gen(N, 1), I, 1)
+    # not an int: True would count as level 1, and 2.0 fail inside range()
+    for level in (True, 2.0, 2.5, -1):
+        with pytest.raises(ValueError, match="depth"):
+            agree_on_F(W_CP, FLIP, level)
 
 
 def brute_agreement(v, w, K):
@@ -122,6 +126,22 @@ def test_perturb():
         perturb(U_CP, V_CP, order="sideways")
     with pytest.raises(ValueError):
         perturb(Element.gen(N, 1), I)
+    # 2 I commutes with everything, but the product is not unitary
+    with pytest.raises(ValueError, match="unitary"):
+        perturb(U_CP, I.scale(2))
+
+
+def test_perturb_checks_each_unitary_once(monkeypatch):
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return is_unitary(x)
+    monkeypatch.setattr(cuntzcalc.intertwine, "is_unitary", counted)
+    for order in ("left", "shift_right"):
+        seen.clear()
+        assert perturb(U_CP, V_CP, order) == W_CP
+        assert seen == [U_CP, W_CP]
 
 
 def test_perturbed_symbols_disagree_outside_the_core():
@@ -187,6 +207,23 @@ def test_space_membership_rejects_mixed_n():
             rep.contains(x)
         with pytest.raises(ContextMismatch):
             rep.coefficients_of(x)
+
+
+def test_space_indexes_only_the_probed_adjoints(monkeypatch):
+    calls = []
+    inner_index = cuntzcalc.intertwine._inner_index
+
+    def counted(terms):
+        calls.append(terms)
+        return inner_index(terms)
+    monkeypatch.setattr(cuntzcalc.intertwine, "_inner_index", counted)
+    for u, level in ((U_CP, 3), (random_permutation_unitary(3, 2, random.Random(5)), 2)):
+        calls.clear()
+        intertwiner_space(u, level)
+        # one index per right factor u S_(i b), for the words with a <= b
+        right = {(i,) + b for a, b in _span_words(u.n, level) if a <= b
+                 for i in range(1, u.n + 1)}
+        assert len(calls) == len(right)
 
 
 def test_space_degenerate_levels():
