@@ -288,6 +288,8 @@ def _cmd_search(args):
         raise ValueError("--k must be >= 0")
     if args.samples is not None and args.samples < 0:
         raise ValueError("--samples must be >= 0")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     size = n ** args.k
     level = 2 if args.level is None else args.level
     if args.samples is None:

@@ -27,7 +27,12 @@ Three routes:
            the graph can be built; some unitaries have a pair with no
            successor tail (IncompleteEdgeRule), and auto mode hands
            those to cocycle.  The level it reports is the first failing
-           one, and the recursion names its witness.
+           one, and the recursion names its witness.  A class that
+           mixes degrees refutes level 1, where the state needs no
+           product: for w = sum S_a S_b* the alphas form a partition of
+           unity, so S_a* S_a' = delta_(a,a') and
+               w* gauge(w) = sum over the pairs of g^(|a| - |b|) P_b,
+           a diagonal element built straight from the pairs.
 
 Auto mode runs graph when it applies, else cocycle, and checks a cocycle
 refutation with lambda_apply, which shares no code with the recursion:
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _cconj, _check_level, _cmul, _exact, _integral, diagonal_sum
-from .algebra import membership
+from .algebra import Element, _canonical, _cconj, _check_level, _cmul, _exact, _integral
+from .algebra import diagonal_sum, level_blocks, membership
 from .endo import (
     NotSumOfWords,
     agreement,
@@ -428,11 +433,15 @@ def decide_preserves(w, method="auto", depth=16):
 
 
 def _graph_decision(w):
+    pairs = sum_of_words_profile(w)
     try:
-        graph = build_overlap_graph(sum_of_words_profile(w))
+        graph = build_overlap_graph(pairs)
     except Psi1NotConstant as bad:
-        # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the range
-        ((_, _, blocks),) = agreement(w, gauge(w), 1)
+        # a class mixing degrees refutes level 1: y_1 = w* gauge(w) leaves the
+        # range, and S_a* S_a' = delta_(a,a') for the alphas, a partition of
+        # unity, so y_1 = sum over the pairs of g^(|a| - |b|) P_b
+        y1 = _canonical(w.n, [((b, b), {len(a) - len(b): 1}) for a, b in pairs])
+        blocks = level_blocks(y1, 1)
         cert = _with_defect({"class": bad.class_name, "mixed_degrees": bad.values},
                             diagonal_sum(w.n, blocks), w.n)
         return _refutation("graph", 1, _failing_unit(w.n, 1, blocks), cert)

@@ -116,8 +116,7 @@ def sum_of_words_profile(x):
 def u_tower(u, k, _cache=None):
     """u_k = u phi(u) ... phi^{k-1}(u), computed as u * shift(u_{k-1});
     the tests' reference for the tower, kept public for bench/tracer.py."""
-    if k < 0:
-        raise ValueError("tower index must be >= 0")
+    _check_level(k, "tower index")
     if _cache is None:
         if not is_unitary(u):
             raise ValueError("tower base must be unitary")

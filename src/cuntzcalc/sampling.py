@@ -6,11 +6,12 @@ reproducibility; no module-level randomness.
 
 from itertools import product
 
-from .algebra import Element
+from .algebra import Element, _check_level
 
 
 def level_words(n, k):
     """All length-k multi-indices over 1..n in lexicographic order."""
+    _check_level(k, "level k")
     return [tuple(w) for w in product(range(1, n + 1), repeat=k)]
 
 

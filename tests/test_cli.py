@@ -302,6 +302,19 @@ def test_search_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     assert started == [2]
 
 
+def test_search_refuses_fewer_than_one_job(capsys, monkeypatch):
+    import cuntzcalc.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "search", "--k", "1", "--jobs", jobs)
+        assert (code, out) == (3, "")
+        assert err == "error: --jobs must be >= 1\n"
+
+
 def test_search_guardrails(capsys):
     # exhaustive search lists (n^k)! permutations: refused above 8! = 40,320
     for argv in (("--k", "4"), ("--n", "3", "--k", "3"), ("--n", "3", "--k", "2")):

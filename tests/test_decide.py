@@ -555,3 +555,31 @@ def test_graph_and_cocycle_agree_on_samples():
         _, rep = cocycle_run(w, 16)
         if graph_verdict is not None and rep.verdict != UNDECIDED:
             assert rep.verdict == graph_verdict, render(w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("window", [(-1, 0, 1), None])
+def test_level_one_state_of_a_sum_of_words(n, window):
+    # y_1 = w* gauge(w) = sum over the pairs of g^(|a| - |b|) P_b, the state
+    # the graph route builds for a class that mixes degrees; its level-1
+    # refutation must match the recursion's in level, witness and defect
+    rng = random.Random(f"y1/{n}/{window}")
+    refuted = 0
+    for _ in range(50):
+        w = random_sum_of_words_unitary(n, rng, max_splits=4 - n // 2, degree_window=window)
+        pairs = sum_of_words_profile(w)
+        y1 = Element(n, [((b, b), {len(a) - len(b): 1}) for a, b in pairs])
+        assert y1 == w.adjoint() * gauge(w), render(w)
+        try:
+            build_overlap_graph(pairs)
+        except Psi1NotConstant:
+            refuted += 1
+            rep = decide_preserves(w, method="graph")
+            _, ref = cocycle_run(w, 1)
+            assert ref.failing_level == rep.failing_level == 1
+            assert ref.witness == rep.witness
+            for key in ("defect_block", "defect_coefficient"):
+                assert ref.certificate.get(key) == rep.certificate.get(key), render(w)
+        except (DegreeOutOfRange, IncompleteEdgeRule):
+            pass
+    assert refuted > 0

@@ -216,6 +216,9 @@ def test_u_tower_recursion():
         assert t3 == u * shift(u_tower(u, 2))
         assert t3 == u_tower(u, 2) * shift(shift(u))
     assert u_tower(I, 5) == I
+    for k in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="tower index"):
+            u_tower(W0, k)
 
 
 def test_lambda_on_generators():
