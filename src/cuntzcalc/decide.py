@@ -85,11 +85,10 @@ class RouteDisagreement(RuntimeError):
 class Psi1NotConstant(Exception):
     """A single overlap class carries two different degrees."""
 
-    def __init__(self, name, classes, values):
+    def __init__(self, name, values):
         super().__init__(
             f"class {{{name}}} mixes degrees {values}; the level-1 cocycle is not unitary")
         self.class_name = name
-        self.classes = classes
         self.values = values
 
 
@@ -170,7 +169,7 @@ def build_overlap_graph(pairs):
     for name, members in classes.items():
         values = sorted({deg_of[b] for b in members})
         if len(values) != 1:
-            raise Psi1NotConstant(name, classes, values)
+            raise Psi1NotConstant(name, values)
         label[name] = values[0]
 
     edges = set()

@@ -113,17 +113,16 @@ def sum_of_words_profile(x):
 # ---------------------------------------------------------------------------
 # Towers and the endomorphism action
 
-def u_tower(u, k, _cache=None):
+def u_tower(u, k):
     """u_k = u phi(u) ... phi^{k-1}(u), computed as u * shift(u_{k-1});
     the tests' reference for the tower, kept public for bench/tracer.py."""
     _check_level(k, "tower index")
-    if _cache is None:
-        if not is_unitary(u):
-            raise ValueError("tower base must be unitary")
-        _cache = [Element.identity(u.n), u]
-    while len(_cache) <= k:
-        _cache.append(u * shift(_cache[-1]))
-    return _cache[k]
+    if not is_unitary(u):
+        raise ValueError("tower base must be unitary")
+    tower = Element.identity(u.n)
+    for _ in range(k):
+        tower = u * shift(tower)
+    return tower
 
 
 def word_images(u):

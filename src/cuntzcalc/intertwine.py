@@ -29,6 +29,11 @@ kernel vector is 1 at its own free column and 0 at every other, so a
 member's coefficients are its coordinates there.  Every basis vector is
 re-checked by the commutators in the Element arithmetic, which does not
 use the defect map.
+
+coboundary_witness matches the level-1 matrix units of w with those of
+a core unitary U.  The matching sum_i (w S_i S_1* w*) V (S_1 S_i*) is
+w shift(z) with z = S_1* w* V S_1, so U = w shift(z) and w* U = shift(z)
+hold by construction.
 """
 
 from dataclasses import dataclass
@@ -36,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import Element, _canonical, _check_level, _inner_index, _probe, membership
-from .algebra import phi_preimage, shift
+from .algebra import shift
 from .endo import agreement, gauge, is_unitary
 
 
@@ -98,7 +103,7 @@ def perturb(u, v, order="left"):
         raise PreconditionFailed("v is not a self-intertwiner of u")
     w = v * u if order == "left" else u * shift(v)
     if not is_unitary(w):
-        raise ValueError("agreement check needs unitary inputs")
+        raise ValueError("perturb needs a unitary v: the perturbed product is not unitary")
     for level, z, _ in agreement(w, u, 3):
         if z is None:
             raise RuntimeError(f"internal: perturbation broke core agreement at level {level}")
@@ -309,8 +314,13 @@ def coboundary_witness(w):
     level-1 gauge cocycle as a coboundary; the identity is re-verified
     symbolically before returning.
 
-    Needs level-1 preservation.  The matrix-unit matching is done over
-    the rationals, which requires the corner projection to be a 0/1
+    Needs level-1 preservation.  A core w is its own U, with z = I.
+    Otherwise U is the matrix-unit matching sum_i e_i1 V f_1i of
+    f_ij = S_i S_j* with their images e_ij = w f_ij w*, where V is the
+    lexicographically least partial isometry carrying f_11 onto e_11.
+    As e_i1 V f_1i = w S_i (S_1* w* V S_1) S_i*, the sum collapses to
+    U = w shift(z) with z = S_1* w* V S_1, so only e_11 is formed.  V
+    is built over the rationals, which requires e_11 to be a 0/1
     diagonal (always the case for sums of words); otherwise the partial
     isometry may need irrational entries and ConstructionNotSupported
     is raised.
@@ -320,45 +330,29 @@ def coboundary_witness(w):
     ((_, z1, _),) = agreement(w, gauge(w), 1)
     if z1 is None:
         raise PreconditionFailed("the endomorphism already leaves the core at level 1")
+    n = w.n
     if membership(w, "F"):
-        U = w
+        U, z = w, Element.identity(n)
     else:
-        U = _matched_core_unitary(w)
-    z = phi_preimage(w.adjoint() * U)
-    if z is None:
-        raise RuntimeError("internal: w* U is not in the shift's range")
+        ws = w.adjoint()
+        e11 = w * Element(n, {((1,), (1,)): {0: 1}}) * ws
+        if not membership(e11, "D") or any(c != {0: 1} for c in e11.terms.values()):
+            raise ConstructionNotSupported(
+                "corner projection is not a 0/1 diagonal; a rational partial "
+                "isometry onto it need not exist")
+        m = e11.max_level()
+        gammas = sorted(a + rho for a, _ in e11.terms
+                        for rho in product(range(1, n + 1), repeat=m - len(a)))
+        targets = sorted((1,) + rho for rho in product(range(1, n + 1), repeat=m - 1))
+        if len(gammas) != len(targets):
+            raise ConstructionNotSupported(
+                f"corner projection has rank {len(gammas)} at level {m}, expected {len(targets)}")
+        V = Element(n, [((g, t), {0: 1}) for g, t in zip(gammas, targets)])
+        s1 = Element.gen(n, 1)
+        z = s1.adjoint() * ws * V * s1
+        U = w * shift(z)
+        if not membership(U, "F") or not is_unitary(U):
+            raise RuntimeError("internal: matched unitary is not a core unitary")
     if z1 != z * gauge(z.adjoint()):
         raise RuntimeError("internal: coboundary identity failed")
     return U, z
-
-
-def _matched_core_unitary(w):
-    """Core unitary U with U S_i S_j* U* = w S_i S_j* w* for all i, j.
-
-    Standard matrix-unit matching U = sum_i e_{i1} V f_{1i} with
-    f_{ij} = S_i S_j*, e_{ij} their images, and V the lexicographically
-    least partial isometry carrying f_11 onto e_11.
-    """
-    n = w.n
-    ws = w.adjoint()
-    e = {(i, j): w * Element(n, {((i,), (j,)): {0: 1}}) * ws
-         for i in range(1, n + 1) for j in range(1, n + 1)}
-    e11 = e[(1, 1)]
-    if not membership(e11, "D") or any(c != {0: 1} for c in e11.terms.values()):
-        raise ConstructionNotSupported(
-            "corner projection is not a 0/1 diagonal; a rational partial "
-            "isometry onto it need not exist")
-    m = e11.max_level()
-    gammas = sorted(a + rho for a, _ in e11.terms
-                    for rho in product(range(1, n + 1), repeat=m - len(a)))
-    targets = sorted((1,) + rho for rho in product(range(1, n + 1), repeat=m - 1))
-    if len(gammas) != len(targets):
-        raise ConstructionNotSupported(
-            f"corner projection has rank {len(gammas)} at level {m}, expected {len(targets)}")
-    V = Element(n, [((g, t), {0: 1}) for g, t in zip(gammas, targets)])
-    U = Element.zero(n)
-    for i in range(1, n + 1):
-        U = U + e[(i, 1)] * V * Element(n, {((1,), (i,)): {0: 1}})
-    if not membership(U, "F") or not is_unitary(U):
-        raise RuntimeError("internal: matched unitary is not a core unitary")
-    return U

@@ -8,6 +8,9 @@ from itertools import product
 
 from .algebra import Element, _check_level
 
+# draws random_sum_of_words_unitary makes before it falls back
+ATTEMPTS = 200
+
 
 def level_words(n, k):
     """All length-k multi-indices over 1..n in lexicographic order."""
@@ -48,16 +51,15 @@ def random_prefix_code(n, rng, splits, max_len=4):
     return sorted(code)
 
 
-def random_sum_of_words_unitary(n, rng, max_splits=3, max_len=4,
-                                degree_window=(-1, 0, 1), attempts=200):
+def random_sum_of_words_unitary(n, rng, max_splits=3, max_len=4, degree_window=(-1, 0, 1)):
     """Random unitary sum of words: two equal-size complete prefix codes
     under a random pairing.
 
     When degree_window is given, pairings with a length difference
     outside it are rejected and redrawn; falls back to a permutation
-    unitary if the window cannot be hit within the attempt budget.
+    unitary if the window cannot be hit within ATTEMPTS draws.
     """
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         splits = rng.randint(0, max_splits)
         left = random_prefix_code(n, rng, splits, max_len)
         right = random_prefix_code(n, rng, splits, max_len)

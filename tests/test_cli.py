@@ -2,8 +2,6 @@ import json
 import re
 from pathlib import Path
 
-import pytest
-
 from cuntzcalc.cli import main
 from cuntzcalc.decide import build_overlap_graph, export_dot
 from cuntzcalc.endo import lambda_apply, sum_of_words_profile
@@ -214,6 +212,13 @@ def test_perturb(capsys):
     code, _, err = run(capsys, "perturb", "--u", "@u_cp", "--v", "S1 S2* + S2 S1*")
     assert code == 1
     assert "precondition failed" in err
+
+
+def test_perturb_names_a_non_unitary_v(capsys):
+    # 2 I is a self-intertwiner, but the product it makes is not unitary
+    code, out, err = run(capsys, "perturb", "--u", "@u_cp", "--v", "2 I")
+    assert code == 3 and out == ""
+    assert "error: perturb needs a unitary v" in err
 
 
 def test_agree(capsys):

@@ -541,20 +541,25 @@ def test_report_json_shape():
 
 # -- sampled agreement (small here; the acceptance suite runs the full set) --
 
-def test_graph_and_cocycle_agree_on_samples():
-    rng = random.Random(90125)
-    for _ in range(25):
-        w = random_sum_of_words_unitary(2, rng)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("window", [(-1, 0, 1), None])
+def test_graph_and_cocycle_agree_on_samples(n, window):
+    # wherever both routes decide, they agree on the verdict, the first
+    # failing level and its witness
+    rng = random.Random(f"graph-cocycle/{n}/{window}")
+    decided = 0
+    for _ in range(40):
+        w = random_sum_of_words_unitary(n, rng, max_splits=4 - n // 2, degree_window=window)
         try:
-            g = build_overlap_graph(sum_of_words_profile(w))
-            graph_verdict = PRESERVES if path_condition(g)[0] else NOT_PRESERVES
-        except Psi1NotConstant:
-            graph_verdict = NOT_PRESERVES
-        except IncompleteEdgeRule:
-            graph_verdict = None
-        _, rep = cocycle_run(w, 16)
-        if graph_verdict is not None and rep.verdict != UNDECIDED:
-            assert rep.verdict == graph_verdict, render(w)
+            rep = decide_preserves(w, method="graph")
+        except (DegreeOutOfRange, IncompleteEdgeRule):
+            continue
+        _, ref = cocycle_run(w, 64)
+        if ref.verdict != UNDECIDED:
+            decided += 1
+            assert (rep.verdict, rep.failing_level, rep.witness) == \
+                (ref.verdict, ref.failing_level, ref.witness), render(w)
+    assert decided >= 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzcalc.algebra import ContextMismatch, Element, membership, phi_preimage
+from cuntzcalc.algebra import ContextMismatch, Element, phi_preimage
 from cuntzcalc.endo import (
     NotSumOfWords,
     _is_partition_of_unity,
@@ -45,15 +45,6 @@ elements = st.lists(terms, max_size=3).map(
     lambda ts: Element(N, [((a, b), {g: Fraction(q)}) for a, b, q, g in ts]))
 
 SETTINGS = dict(max_examples=50, deadline=None, derandomize=True)
-
-
-def perm_unitary(perm, k=1):
-    # sums S_sigma(a) S_a* over level-k multi-indices
-    level = list(itertools.product(range(1, N + 1), repeat=k))
-    out = Element.zero(N)
-    for a, j in zip(level, perm):
-        out = out + word(level[j], a)
-    return out
 
 
 # -- shift -------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import cuntzcalc
 
 SRC = Path(cuntzcalc.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(path):
@@ -28,4 +29,11 @@ def test_engine_modules_import_only_what_they_use():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 7
     found = {p.name: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_tests_and_tools_import_only_what_they_use():
+    files = sorted((ROOT / "tests").glob("*.py")) + [ROOT / "tools" / "mutate.py"]
+    assert len(files) >= 15
+    found = {p.name: unused_imports(p) for p in files}
     assert {name: names for name, names in found.items() if names} == {}

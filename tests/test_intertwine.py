@@ -26,8 +26,12 @@ from cuntzcalc.intertwine import (
     is_self_intertwiner,
     perturb,
 )
-from cuntzcalc.sampling import random_permutation_unitary, random_sum_of_words_unitary
-from oracles import commutant_space, compose, normalizer_cocycle_check
+from cuntzcalc.sampling import (
+    level_words,
+    random_permutation_unitary,
+    random_sum_of_words_unitary,
+)
+from oracles import commutant_space, compose, normalizer_cocycle_check, rotation
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -425,3 +429,55 @@ def test_coboundary_witness_refusals():
         coboundary_witness(ROT * W_CP)
     with pytest.raises(ValueError):
         coboundary_witness(Element.gen(N, 1))
+
+
+ANGLES = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)))
+
+
+def core_unitary(n, k, rng):
+    if rng.random() < 0.5:
+        return random_permutation_unitary(n, k, rng)
+    return rotation(n, *rng.sample(level_words(n, k), 2), *rng.choice(ANGLES))
+
+
+def coboundary_corpus(rng, count):
+    """count pairs: a sum of words (n = 2, 3, any degrees), then w_cp or its
+    composition with a permutation unitary, moved by a core unitary on the
+    left, on the right or through the shift, or by the gauge action."""
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        yield random_sum_of_words_unitary(n, rng, max_splits=3 if n == 2 else 2, max_len=3,
+                                          degree_window=None)
+        p = random_permutation_unitary(N, rng.randint(1, 2), rng)
+        base = rng.choice((W_CP, compose(W_CP, p), compose(p, W_CP)))
+        mode = rng.choice(("left", "right", "shift", "gauge"))
+        if mode == "left":
+            yield core_unitary(N, rng.randint(1, 2), rng) * base
+        elif mode == "right":
+            # a level-1 unitary on the right keeps level 1 in the core
+            yield base * core_unitary(N, 1, rng)
+        elif mode == "shift":
+            yield base * shift(core_unitary(N, rng.randint(1, 2), rng))
+        else:
+            yield gauge(base, rng.choice((-1, 1, 2)))
+
+
+def test_coboundary_witness_matches_level_one_units():
+    refused, matched = {}, 0
+    for w in coboundary_corpus(random.Random("coboundary"), 100):
+        try:
+            U, z = coboundary_witness(w)
+        except ValueError as e:
+            refused[type(e)] = refused.get(type(e), 0) + 1
+            continue
+        matched += not membership(w, "F")
+        assert membership(U, "F") and is_unitary(U)
+        us, ws = U.adjoint(), w.adjoint()
+        for i, j in product(range(1, w.n + 1), repeat=2):
+            f = Element.word(w.n, (i,), (j,))
+            assert U * f * us == w * f * ws
+        assert ws * U == shift(z)
+        assert left_inverse(ws * gauge(w)) == z * gauge(z.adjoint())
+    assert refused == {PreconditionFailed: 36, ConstructionNotSupported: 22}
+    # the rest are core inputs, their own witnesses
+    assert matched == 78

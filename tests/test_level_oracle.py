@@ -33,9 +33,9 @@ from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
 from oracles import rotation
 
 
-def oracle_level_witness(w, k, towers):
+def oracle_level_witness(w, k):
     """(least failing level-k unit, its image), or (None, None)."""
-    wk = u_tower(w, k, towers)
+    wk = u_tower(w, k)
     wks = wk.adjoint()
     idx = list(product(range(1, w.n + 1), repeat=k))
     for a in idx:
@@ -81,9 +81,7 @@ def enumerated():
     """(w, depth, per-level oracle results) over the seeded corpus."""
     out = []
     for w, depth in corpus(random.Random(31337)):
-        towers = [Element.identity(w.n), w]
-        out.append((w, depth, [oracle_level_witness(w, k, towers)
-                               for k in range(1, depth + 1)]))
+        out.append((w, depth, [oracle_level_witness(w, k) for k in range(1, depth + 1)]))
     return out
 
 
@@ -148,14 +146,14 @@ def test_routes_report_the_enumerated_witness(enumerated):
     assert auto_images.count(1) >= 5
 
 
-def tower_witness(w, k, towers):
+def tower_witness(w, k):
     """(least failing level-k unit, whether column 1^k fails) from the
     level-k blocks X_ab = S_a* q S_b of q = w_k* gauge(w_k), tower w_k.
 
     The image of S_a S_b* leaves the core iff column a or row b of the
     blocks has a nonzero off-diagonal block, or X_aa != X_bb.
     """
-    wk = u_tower(w, k, towers)
+    wk = u_tower(w, k)
     blocks = level_blocks(wk.adjoint() * gauge(wk), k)
     one = (1,) * k
     if any(b == one != a for a, b in blocks):
@@ -192,9 +190,8 @@ def test_witness_above_the_failing_level_matches_the_tower():
         report = direct_check(w, top)
         if report.verdict != NOT_PRESERVES:
             continue
-        towers = [Element.identity(w.n), w]
         for k in range(report.failing_level + 1, top + 1):
-            x, column = tower_witness(w, k, towers)
+            x, column = tower_witness(w, k)
             assert matrix_unit_witness(w, k) == x, (render(w), k)
             checked += 1
             columns += column
