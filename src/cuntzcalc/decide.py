@@ -242,7 +242,7 @@ class DecisionReport:
 
 
 def _failing_unit(n, k, blocks):
-    """The least level-k unit whose image leaves the core, or None.
+    """The least level-k unit whose image leaves the core.
 
     blocks are the level-1 blocks X_cd = S_c* y S_d of the failing y = y_k
     of the recursion, and q = w_k* gauge(w_k) = phi^(k-1)(y).  The image
@@ -250,24 +250,23 @@ def _failing_unit(n, k, blocks):
     column a or row b has a nonzero off-diagonal block, or X_aa != X_bb.
     So the least failing unit is S_{1^k} S_{1^k}* when column 1 has an
     off-diagonal block, else S_{1^k} S_{1^(k-1) r}* for the least failing
-    row r.
+    row r.  Some row fails, as y is not in the shift's range: were every
+    off-diagonal block zero and every X_rr equal to X_11, y would be the
+    shift of X_11.  A row whose X_rr is zero is not missed, since
+    y = w* zt_(k-1) gauge(w) is unitary, so no row of blocks is zero.
     """
     one = (1,)
     ref = blocks.get((one, one), {})
     if any(b == one != a for a, b in blocks):
         row = one
     else:
-        # q is unitary, so no row of blocks is zero: a zero diagonal block
-        # always comes with a nonzero off-diagonal one in its row
-        rows = {a for (a, b), x in blocks.items() if a != b or x != ref}
-        if not rows:
-            return None
-        row = min(rows)
+        row = min(a for (a, b), x in blocks.items() if a != b or x != ref)
     return Element(n, {((1,) * k, (1,) * (k - 1) + row): {0: 1}}, _normal=True)
 
 
 def _scanned_unit(w, k):
-    """The least level-k unit whose image leaves the core, or None.
+    """The least level-k unit whose image leaves the core, for k above the
+    first failing level j.
 
     With E_a = lambda(S_a) = w_k S_a, the level-k blocks of
     q = w_k* gauge(w_k) are g^-k E_a* gauge(E_b), and both E and gauge(E)
@@ -275,7 +274,10 @@ def _scanned_unit(w, k):
     X = E_{1^k}* gauge(E_{1^k}), column 1^k has an off-diagonal block iff
     gauge(E_{1^k}) != E_{1^k} X, and otherwise row r fails iff
     E_r* != X gauge(E_r)*.  The rows are scanned in lexicographic order,
-    one small product each, up to the first failing one.
+    one small product each, up to the first failing one.  There is one:
+    a level-j unit S_a S_b* whose image leaves the core is the sum of the
+    level-k units S_(ac) S_(bc)* over the words c of length k - j, so the
+    image of one of them leaves it too.
     """
     image = word_images(w)
     one = (1,) * k
@@ -285,11 +287,9 @@ def _scanned_unit(w, k):
     if ge != e * x:
         return Element(w.n, {(one, one): {0: 1}}, _normal=True)
     xs = x.adjoint()
-    for r in product(range(1, w.n + 1), repeat=k):
-        e = image(r)
-        if e != gauge(e) * xs:
-            return Element(w.n, {(one, r): {0: 1}}, _normal=True)
-    return None
+    r = next(r for r in product(range(1, w.n + 1), repeat=k)
+             if image(r) != gauge(image(r)) * xs)
+    return Element(w.n, {(one, r): {0: 1}}, _normal=True)
 
 
 def matrix_unit_witness(w, k):
@@ -304,10 +304,7 @@ def matrix_unit_witness(w, k):
         raise ValueError("matrix_unit_witness needs a unitary w")
     for j, z, blocks in agreement(w, gauge(w), k):
         if z is None:
-            x = _failing_unit(w.n, k, blocks) if j == k else _scanned_unit(w, k)
-            if x is None:
-                raise ValueError("matrix_unit_witness needs a unitary w")
-            return x
+            return _failing_unit(w.n, k, blocks) if j == k else _scanned_unit(w, k)
     return None
 
 

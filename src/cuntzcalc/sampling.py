@@ -37,8 +37,10 @@ def random_permutation_unitary(n, k, rng):
 def random_prefix_code(n, rng, splits, max_len=4):
     """Complete prefix code grown by the given number of leaf splits.
 
-    May stop early when every leaf is already at max_len, so the caller
-    must not assume the size is exactly 1 + splits*(n-1).
+    Stops early when every leaf is at max_len.  Each split adds n - 1
+    leaves, and a code can be split until it is the full code of the
+    words of length max_len, (n^max_len - 1)/(n - 1) splits in all, so
+    the size depends on n, splits and max_len alone, not on the draws.
     """
     code = [()]
     for _ in range(splits):
@@ -52,8 +54,9 @@ def random_prefix_code(n, rng, splits, max_len=4):
 
 
 def random_sum_of_words_unitary(n, rng, max_splits=3, max_len=4, degree_window=(-1, 0, 1)):
-    """Random unitary sum of words: two equal-size complete prefix codes
-    under a random pairing.
+    """Random unitary sum of words: two complete prefix codes under a
+    random pairing.  Both grow by the same number of splits, so they have
+    the same size (random_prefix_code).
 
     When degree_window is given, pairings with a length difference
     outside it are rejected and redrawn; falls back to a permutation
@@ -63,8 +66,6 @@ def random_sum_of_words_unitary(n, rng, max_splits=3, max_len=4, degree_window=(
         splits = rng.randint(0, max_splits)
         left = random_prefix_code(n, rng, splits, max_len)
         right = random_prefix_code(n, rng, splits, max_len)
-        if len(left) != len(right):
-            continue
         perm = list(range(len(right)))
         rng.shuffle(perm)
         pairs = [(left[perm[i]], right[i]) for i in range(len(right))]

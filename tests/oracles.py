@@ -9,9 +9,10 @@ the path-condition search, rational rotations, and plain
 rational-product references for the unitarity check, the level-k
 recursion and the endomorphism action; the entries of a product
 index, read off its trie; the bounded-level commutant of the range of
-an endomorphism, by its own Gauss-Jordan reduction; and the two-pass
+an endomorphism, by its own Gauss-Jordan reduction; the two-pass
 cylinder merge and the Fraction-operator printer that the normal form
-and exprio.render replaced.
+and exprio.render replaced; and products of w_cp with permutation
+unitaries, inputs whose refutations lie above level 1.
 """
 
 from fractions import Fraction
@@ -21,7 +22,9 @@ from cuntzcalc.algebra import Element, _cadd, _canonical, level_blocks, membersh
 from cuntzcalc.algebra import word_degree
 from cuntzcalc.decide import OverlapGraph
 from cuntzcalc.endo import gauge, is_unitary, lambda_apply, sum_of_words_profile
+from cuntzcalc.exprio import constant
 from cuntzcalc.intertwine import _span_words
+from cuntzcalc.sampling import random_permutation_unitary
 
 
 def word_mul(a, b):
@@ -131,6 +134,20 @@ def compose(u, v):
         if not is_unitary(y):
             raise ValueError(f"compose needs unitary inputs; {name} is not")
     return lambda_apply(u, v, check_unitary=False) * u
+
+
+def w_cp_products(rng, count):
+    """count products p w_cp, w_cp q and p w_cp q, the three in turn, with
+    seeded permutation unitaries p and q at levels 1-3.
+
+    None lies in the core.  p w_cp never refutes level 1: p lies in the
+    core, and p w_cp sends S_i S_j* to p times its image under w_cp
+    times p*.  The other refutations reach the graph route's pair search.
+    """
+    w = constant("w_cp")
+    for i in range(count):
+        p, q = (random_permutation_unitary(2, rng.randint(1, 3), rng) for _ in range(2))
+        yield (p * w, w * q, p * w * q)[i % 3]
 
 
 def gauge_expectation(x):

@@ -473,6 +473,10 @@ def test_letter_validation_and_context():
         assert Element.gen(n, n).adjoint() * Element.gen(n, n) == Element.identity(n)
     with pytest.raises(ContextMismatch):
         S1 + Element.gen(3, 1)
+    with pytest.raises(TypeError, match="expected Element, got int"):
+        S1 + 1
+    with pytest.raises(AttributeError, match="immutable"):
+        S1.n = 3
 
 
 def test_gauge_powers_must_be_ints():
@@ -523,6 +527,10 @@ def test_scalar_interface():
     assert x * 2 == x + x
     assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
     assert x.scale(1, gpow=2).scale(1, gpow=-2) == x
+    # a float is no exact scalar, and no other type equals an Element
+    with pytest.raises(TypeError):
+        0.5 * x
+    assert x != "S1 S2*" and not x == 1
 
 
 def test_repr_is_stable():

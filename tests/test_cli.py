@@ -1,7 +1,12 @@
 import json
 import re
+import runpy
+import sys
 from pathlib import Path
 
+import pytest
+
+import cuntzcalc.exprio
 from cuntzcalc.cli import main
 from cuntzcalc.decide import build_overlap_graph, export_dot
 from cuntzcalc.endo import lambda_apply, sum_of_words_profile
@@ -230,12 +235,21 @@ def test_agree(capsys):
 
 # -- verification and search -------------------------------------------------
 
-def test_verify_examples(capsys):
+def test_verify_examples(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-examples")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[-1] == "all claims pass"
     assert len([ln for ln in lines if ln.startswith("PASS")]) == len(lines) - 1
+    # a claim that raises is reported with its message and fails the run
+    monkeypatch.setattr(cuntzcalc.exprio, "W_CP_OVERLAP", {"labels": {}, "edges": []})
+    code, out, _ = run(capsys, "verify-examples")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL  overlap graph matches the tabulated classes and edges "
+                               "(overlap data mismatch: got ")
+    assert out.splitlines()[-1] == "1 claim(s) failed"
 
 
 # Recorded standard output (tests/golden/<name>.txt) and exit code.
@@ -336,8 +350,14 @@ def test_search_guardrails(capsys):
 
 # -- error mapping -----------------------------------------------------------
 
-def test_usage_errors_exit_3(capsys):
+def test_usage_errors_exit_3(capsys, monkeypatch):
     assert run(capsys, "nonsense")[0] == 3
+    # run as a script, the exit status is main's
+    monkeypatch.setattr(sys, "argv", ["cuntzcalc", "nonsense"])
+    monkeypatch.delitem(sys.modules, "cuntzcalc.cli")
+    with pytest.raises(SystemExit) as e:
+        runpy.run_module("cuntzcalc.cli", run_name="__main__")
+    assert e.value.code == 3
     assert run(capsys, "normalize", "S1 +")[0] == 3
     assert run(capsys, "normalize", "@nope")[0] == 3
     assert run(capsys, "preserves-uhf", "--w", "@w_cp", "--method", "psychic")[0] == 3

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -36,7 +37,7 @@ from cuntzcalc.sampling import (
     random_permutation_unitary,
     random_sum_of_words_unitary,
 )
-from oracles import random_labeled_digraph
+from oracles import random_labeled_digraph, w_cp_products
 
 N = 2
 W_CP = resolve("@w_cp")
@@ -560,6 +561,32 @@ def test_graph_and_cocycle_agree_on_samples(n, window):
             assert (rep.verdict, rep.failing_level, rep.witness) == \
                 (ref.verdict, ref.failing_level, ref.witness), render(w)
     assert decided >= 20
+
+
+def test_graph_and_cocycle_agree_on_products_with_w_cp():
+    # refutations above level 1: the pair search names the level, the
+    # blocks of the failing state (or, one level up, the scan of the word
+    # images) the witness, whose image must leave the core while every
+    # unit one level down keeps to it
+    tally = {}
+    for w in w_cp_products(random.Random("w_cp products"), 600):
+        rep = decide_preserves(w, method="graph")
+        _, ref = cocycle_run(w, 64)
+        assert (rep.verdict, rep.failing_level, rep.witness) == \
+            (ref.verdict, ref.failing_level, ref.witness), render(w)
+        assert not membership(w, "F")
+        k = rep.failing_level
+        tally[rep.verdict, k] = tally.get((rep.verdict, k), 0) + 1
+        if rep.verdict == PRESERVES:
+            continue
+        for x in (rep.witness, matrix_unit_witness(w, k + 1)):
+            assert not membership(lambda_apply(w, x, check_unitary=False), "F"), render(w)
+        words = list(product((1, 2), repeat=k - 1))
+        if len(words) <= 4:
+            assert all(membership(lambda_apply(w, Element.word(2, a, b), check_unitary=False), "F")
+                       for a in words for b in words), render(w)
+    assert set(tally) == {(PRESERVES, 0)} | {(NOT_PRESERVES, k) for k in (1, 2, 3)}
+    assert min(tally.values()) >= 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

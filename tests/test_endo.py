@@ -210,6 +210,8 @@ def test_u_tower_recursion():
     for k in (True, 2.0, -1):
         with pytest.raises(ValueError, match="tower index"):
             u_tower(W0, k)
+    with pytest.raises(ValueError, match="tower base must be unitary"):
+        u_tower(S1, 2)
 
 
 def test_lambda_on_generators():

@@ -79,6 +79,16 @@ def test_parse_errors_carry_positions():
         parse("")
     with pytest.raises(ParseError):
         parse("g")  # exponent is mandatory
+    # a token of the wrong kind, and a term followed by neither '+' nor '-'
+    with pytest.raises(ParseError, match="expected caret, found 'S1'") as e:
+        parse("g S1")
+    assert e.value.pos == 2
+    with pytest.raises(ParseError, match="expected '[+]' or '-', found '2'") as e:
+        parse("S1 2")
+    assert e.value.pos == 3
+    # a leading '+' on the expression or on an exponent is dropped
+    assert parse("+S1 - S2") == parse("S1 - S2")
+    assert parse("g^+1 S1") == parse("g^1 S1")
     # the star may be spaced off; it still binds to the preceding word
     assert parse("S1 * S1") == Element.identity(N)
 
@@ -146,6 +156,8 @@ def test_json_schema_violations():
         '{"n": 2, "terms": [{"alpha": [1], "beta": [2], "coeff": [[0, 1, 0]]}]}',
         '{"n": 2, "terms": [{"alpha": ["1"], "beta": [2], "coeff": [[0, 1, 1]]}]}',
         "not json at all",
+        '{"n": 2, "terms": {}}',
+        '{"n": 2, "terms": [{"alpha": [1], "beta": [2], "coeff": 1}]}',
     ):
         with pytest.raises(ValueError, match="schema violation"):
             from_json(bad)

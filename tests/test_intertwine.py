@@ -135,6 +135,17 @@ def test_perturb():
         perturb(U_CP, I.scale(2))
 
 
+def test_perturbations_keep_the_core_restriction():
+    # v_cp has order 5; each of its powers I, v_cp, ..., v_cp^4 is a
+    # self-intertwiner of u_cp, and both orders agree with u_cp on the core
+    v = I
+    for j in range(5):
+        for order in ("left", "shift_right"):
+            assert agree_on_F(perturb(U_CP, v, order), U_CP, 4) == (True, 0), (j, order)
+        v = v * V_CP
+    assert v == I
+
+
 def test_perturb_checks_each_unitary_once(monkeypatch):
     seen = []
 
@@ -333,6 +344,8 @@ def test_space_matches_the_element_oracle():
         rep = intertwiner_space(u, L)
         dim, basis, leads = oracle_space(u, L)
         assert (rep.dimension, rep.basis, rep._free) == (dim, basis, tuple(leads))
+        # each kernel vector is a fixed point, by the commutators
+        assert all(is_self_intertwiner(u, b) for b in rep.basis)
         dims.append(dim)
         # a seeded integer combination reads back its integers
         coeffs = [rng.randint(-3, 3) for _ in basis]

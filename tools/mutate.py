@@ -8,11 +8,14 @@ Each mutant flips one operator in one module: a comparison (== and !=,
 connective, or a binary + or -.  The mutated expression is spliced into
 the source in parentheses, so comments and line numbers stay as they
 are.  The tree (src/, tests/, bench/ and tools/, which some tests read,
-and pyproject.toml) is copied once to a temporary directory, and every
-mutant is checked there with -x and no bytecode cache, one pytest run
-at a time: first tests/test_<module>.py, if there is one, and then, if
-that passes, the whole suite.  With no run beside it, the timed bounds
-of tests/test_acceptance.py cannot kill a mutant.
+and pyproject.toml) is copied once to a temporary directory, and the
+suite is run there once under tools/linemap.py's line map, which names
+the tests that reach each line.  Every mutant is checked with -x and no
+bytecode cache, one pytest run at a time: first the tests that reach
+the mutated line, if any do, those of tests/test_<module>.py leading,
+and then, if they pass, the whole suite, so the map saves time and
+changes no outcome.  With no run beside it, the timed bounds of
+tests/test_acceptance.py cannot kill a mutant.
 
 A mutant survives when the suite still passes.  Survivors listed in
 EQUIVALENT, each with the reason it cannot change behaviour, are
@@ -29,6 +32,7 @@ suite's test paths, so pytest does not collect it.
 import argparse
 import ast
 import copy
+import json
 import os
 import random
 import shutil
@@ -40,6 +44,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the suite's tests, as the map and the mutant runs see it
+SUITE = ["--ignore", "tests/test_mutate_table.py", "tests"]
 
 SWAP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
         ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -70,8 +76,6 @@ EQUIVALENT = {
         "e11 is a projection: with coefficients all 1 it is a symmetric 0/1 idempotent"
         " matrix, hence diagonal, and a diagonal projection has coefficients 1, so the"
         " two tests agree",
-    ("intertwine.py", "if not membership(U, \"F\") or not is_unitary(U):", "or -> and"):
-        "an internal guard that no input reaches",
 }
 
 
@@ -155,20 +159,35 @@ def _pytest(root, args, timeout):
         return None
 
 
-def run_suite(root, timeout, first=None):
+def line_tests(root):
+    """{(module file name, line): node ids of the tests that reach it} for
+    the suite in root, from one run of tools/linemap.py's map there."""
+    out = root / "linemap.json"
+    script = ("import json, sys, linemap\n"
+              "found, _ = linemap.line_map(['-q', '-p', 'no:cacheprovider', *sys.argv[2:]])\n"
+              "json.dump([[name, line, sorted(tests - {None})]"
+              " for (name, line), tests in found.items()], open(sys.argv[1], 'w'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tools")]),
+               PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", script, str(out), *SUITE], cwd=root, env=env,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+    return {(name, line): tests for name, line, tests in json.loads(out.read_text())}
+
+
+def run_suite(root, timeout, first=()):
     """Exit status of the tier-1 suite in root, or None on timeout.
 
-    A test file `first` runs on its own before the suite, and the suite
-    runs only if it passes, so a mutant that only slows its module down
-    fails that module's tests before the whole suite outlasts the limit.
-    pytest keeps a directory's order even for a file also named alone,
-    hence two runs; the time limit covers both.  The suite runs without
-    the test of EQUIVALENT itself: that test reads the module's source,
-    which a mutant changes, so it would fail on every mutant whatever the
-    engine does."""
+    The tests `first` run on their own before the suite, and the suite
+    runs only if they pass, so a mutant that breaks or only slows down
+    the code they reach fails them before the whole suite outlasts the
+    limit.  pytest keeps a directory's order even for a test also named
+    alone, hence two runs; the time limit covers both.  The suite runs
+    without the test of EQUIVALENT itself: that test reads the module's
+    source, which a mutant changes, so it would fail on every mutant
+    whatever the engine does."""
     deadline = time.monotonic() + timeout
-    runs = [[first]] if first else []
-    runs.append(["--ignore", "tests/test_mutate_table.py", "tests"])
+    runs = [list(first)] if first else []
+    runs.append(SUITE)
     for args in runs:
         status = _pytest(root, args, max(deadline - time.monotonic(), 0))
         if status != 0:
@@ -205,12 +224,14 @@ def main(argv=None):
         if run_suite(root, 600) != 0:
             sys.exit("the unmutated suite does not pass")
         timeout = max(60.0, 5 * (time.monotonic() - start))
+        reach = line_tests(root)
         counts = {"KILLED": 0, "TIMEOUT": 0, "EQUIVALENT": 0, "SURVIVED": 0}
         for path, source, tree, index, i, line, text, label in todo:
             target = root / path.relative_to(ROOT)
-            first = f"tests/test_{path.stem}.py"
+            first = sorted(reach.get((path.name, line), ()),
+                           key=lambda test: not test.startswith(f"tests/test_{path.stem}.py"))
             target.write_text(mutant(source, tree, index, i))
-            status = run_suite(root, timeout, first if (root / first).exists() else None)
+            status = run_suite(root, timeout, first)
             target.write_text(source)
             name = path.name
             if status is None:
