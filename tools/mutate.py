@@ -163,10 +163,10 @@ def line_tests(root):
     """{(module file name, line): node ids of the tests that reach it} for
     the suite in root, from one run of tools/linemap.py's map there."""
     out = root / "linemap.json"
-    script = ("import json, sys, linemap\n"
+    script = ("import json, pathlib, sys, linemap\n"
               "found, _ = linemap.line_map(['-q', '-p', 'no:cacheprovider', *sys.argv[2:]])\n"
-              "json.dump([[name, line, sorted(tests - {None})]"
-              " for (name, line), tests in found.items()], open(sys.argv[1], 'w'))\n")
+              "pathlib.Path(sys.argv[1]).write_text(json.dumps([[name, line, sorted(tests - {None})]"
+              " for (name, line), tests in found.items()]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tools")]),
                PYTHONDONTWRITEBYTECODE="1")
     subprocess.run([sys.executable, "-c", script, str(out), *SUITE], cwd=root, env=env,
