@@ -51,7 +51,9 @@ walks down the trie past the alphas that are proper prefixes of q and
 reads those that extend q off the node where q ends: exactly the
 surviving pairs, for one dict step per letter and one per pair (_probe).
 This walk is the one place where the rule is applied.  A caller that
-multiplies by the same right factor many times keeps its index.  A
+multiplies by the same right factor many times keeps its index:
+endo.agreement (the right factor v), endo.word_images (each factor
+u S_j) and intertwine.intertwiner_space (each (u S_c)*).  A
 factor equal to the identity is not multiplied at all: the other factor
 is returned as it is.  Coefficient dicts may be shared between Elements
 and are never mutated in place.  The coefficient helpers never add into

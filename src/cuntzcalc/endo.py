@@ -131,6 +131,9 @@ def word_images(u):
     Memoised by prefix: lambda(S_a) = lambda(S_{a[:-1]}) (u S_{a[-1]}), so
     the images of words that share prefixes cost one product per word.
     A word extends its longest memoised prefix in a loop, not a recursion.
+    Each factor u S_j is formed and indexed once, on its first use; the
+    image of a one-letter word is its factor, and each longer one probes
+    the index of its last letter's factor with its prefix's image.
     """
     n = u.n
     factors = {}
@@ -144,8 +147,11 @@ def word_images(u):
         for k in range(m, len(a)):
             j = a[k]
             if j not in factors:
-                factors[j] = u * Element.gen(n, j)
-            y = images[a[:k + 1]] = y * factors[j]
+                f = _canonical(n, _product_terms(u.terms, {((j,), ()): {0: 1}}))
+                factors[j] = f, _inner_index(f.terms)
+            f, index = factors[j]
+            # y = I at k = 0, where the image is the factor itself
+            y = images[a[:k + 1]] = _canonical(n, _probe(index, y.terms)) if k else f
         return y
 
     return image
@@ -193,6 +199,9 @@ def agreement(w, v, depth):
     A return to z_0 = I is the only repeat the stream can make:
     x -> w* x v is injective because w and v are unitary, and phi is
     injective, so z_j = z_k with 0 < j < k would force z_(j-1) = z_(k-1).
+    For v = w, as v = gauge(w) for a core w, that return comes at once:
+    y_1 = w* w = I = phi(I), as w is unitary, so z_1 = I, and the stream
+    yields (1, I, None) and stops before any product or index is made.
 
     The recursion runs in int arithmetic: on W = d_w w and V = d_v v
     (algebra._integral), with each state kept as Z_k / e_k, Z_k integral
@@ -206,6 +215,10 @@ def agreement(w, v, depth):
     n = w.n
     W, dw = _integral(w)
     V, dv = _integral(v)
+    if depth and V == W:
+        # V = W means v = w (unitaries differ by no positive scale), so z_1 = I
+        yield 1, Element.identity(n), None
+        return
     Ws = W.adjoint()
     right = _inner_index(V.terms)
     z, e = Element.identity(n), 1  # z_{k-1} = z / e

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, _canonical, _check_level, _inner_index, _probe, membership
-from .algebra import shift
+from .algebra import Element, _canonical, _check_level, _inner_index, _probe, _product_terms
+from .algebra import membership, shift
 from .endo import agreement, gauge, is_unitary
 
 
@@ -254,7 +254,7 @@ def intertwiner_space(u, L):
         # u S_c
         x = factors.get(c)
         if x is None:
-            x = factors[c] = u * Element.word(n, c)
+            x = factors[c] = _canonical(n, _product_terms(u.terms, {(c, ()): {0: 1}}))
         return x
 
     def index(c):

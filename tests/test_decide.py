@@ -589,6 +589,23 @@ def test_graph_and_cocycle_agree_on_products_with_w_cp():
     assert min(tally.values()) >= 3
 
 
+@pytest.mark.parametrize("text", [
+    "S21 S111* + S12 S211* + S221 S112* + S111 S212* + S112 S12* + S222 S22*",
+    "S122 S1221* + S221 S1222* + S11 S222* + S222 S121* + S211 S221* + S121 S11* + S212 S21*",
+])
+def test_graph_and_cocycle_agree_on_level_two_pair_search_refutations(text):
+    # non-core sums of words that pass level 1, drawn by the benchmark's
+    # words sampler: the pair search and the recursion name one level and
+    # one witness, whose image leaves the core
+    w = resolve(text, 2)
+    rep = decide_preserves(w, method="graph")
+    _, ref = cocycle_run(w, 64)
+    witness = Element.word(2, (1, 1), (1, 2))
+    assert (rep.verdict, rep.failing_level, rep.witness) == \
+        (ref.verdict, ref.failing_level, ref.witness) == (NOT_PRESERVES, 2, witness)
+    assert not membership(lambda_apply(w, witness), "F")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("window", [(-1, 0, 1), None])
 def test_level_one_state_of_a_sum_of_words(n, window):

@@ -19,7 +19,8 @@ from cuntzcalc.endo import (
     u_tower,
 )
 from cuntzcalc.exprio import constant, resolve
-from cuntzcalc.sampling import random_prefix_code, random_sum_of_words_unitary
+from cuntzcalc.sampling import random_permutation_unitary, random_prefix_code, \
+    random_sum_of_words_unitary
 from oracles import compose, n_covering_holds
 
 N = 2
@@ -336,15 +337,53 @@ def test_agreement_indexes_its_right_factor_once_per_run(monkeypatch):
     monkeypatch.setattr(endo, "_inner_index", counted)
     cocycles, _ = cocycle_run(W_CP, 16)
     assert len(cocycles) > 1 and calls == [gauge(W_CP).terms]
-    for w, v, k in ((W_CP, gauge(W_CP), 5), (W0, gauge(W0), 3), (W0, FLIP, 3), (FLIP, FLIP, 4)):
+    perm = random_permutation_unitary(2, 3, random.Random(5))
+    for w, v, k in ((W_CP, gauge(W_CP), 5), (W0, gauge(W0), 3), (W0, FLIP, 3), (FLIP, FLIP, 4),
+                    (perm, gauge(perm), 6)):
         calls.clear()
         levels = list(endo.agreement(w, v, k))
-        assert calls == [v.terms]
+        if v == w:
+            # y_1 = w* w = I, so the run stops at level 1 before it indexes v
+            assert calls == [] and levels == [(1, I, None)]
+        else:
+            assert calls == [v.terms]
         # the levels of the recursion written with two products
         ws, z = w.adjoint(), I
         for _, zk, _ in levels:
             z = phi_preimage(ws * z * v)
             assert zk == z
+
+
+def test_lambda_apply_indexes_each_factor_once_and_a_core_run_probes_nothing(monkeypatch):
+    import cuntzcalc.algebra as algebra
+    import cuntzcalc.endo as endo
+    from cuntzcalc.decide import matrix_unit_witness
+
+    a, b = (1, 2, 2, 1, 1, 2, 1, 2), (2, 2, 1, 1, 2, 1, 1, 1)
+    right = endo.word_images(W_CP)(b).adjoint()
+    indexed, probed = [], []
+    inner_index, probe = algebra._inner_index, algebra._probe
+
+    def counted_index(terms):
+        indexed.append(terms)
+        return inner_index(terms)
+
+    def counted_probe(index, terms):
+        probed.append(terms)
+        return probe(index, terms)
+    for module in (algebra, endo):
+        monkeypatch.setattr(module, "_inner_index", counted_index)
+        monkeypatch.setattr(module, "_probe", counted_probe)
+    lambda_apply(W_CP, word(a, b))
+    # forming u S_j indexes the one word S_j; then u S_j itself, and image(b)*
+    assert [t for t in indexed if t not in (S1.terms, S2.terms)] == \
+        [(W_CP * S1).terms, (W_CP * S2).terms, right.terms]
+    perm = random_permutation_unitary(2, 4, random.Random(3))
+    indexed.clear()
+    probed.clear()
+    assert matrix_unit_witness(perm, 8) is None
+    assert list(endo.agreement(perm, gauge(perm), 8)) == [(1, I, None)]
+    assert indexed == probed == []
 
 
 # -- the n-covering identity of word pairs ------------------------------------

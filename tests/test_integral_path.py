@@ -21,7 +21,7 @@ import pytest
 import cuntzcalc.algebra as algebra
 import cuntzcalc.endo as endo
 from cuntzcalc.algebra import Element
-from cuntzcalc.decide import UNDECIDED, decide_preserves
+from cuntzcalc.decide import UNDECIDED, decide_preserves, matrix_unit_witness
 from cuntzcalc.endo import agreement, gauge, is_unitary, lambda_apply, shift
 from cuntzcalc.exprio import constant, resolve
 from cuntzcalc.sampling import random_permutation_unitary, random_prefix_code, \
@@ -127,6 +127,17 @@ def test_lambda_apply_matches_the_term_by_term_images(corpus):
             y = lambda_apply(u, x)
             assert y == lambda_reference(u, x)
             assert_exact(y)
+    # the benchmark's deep shapes: level-k units on w_cp and on two core permutation unitaries
+    w_cp = constant("w_cp")
+    p2, p3 = random_permutation_unitary(2, 4, rng), random_permutation_unitary(3, 3, rng)
+    for u, levels in ((w_cp, range(5, 9)), (p2, range(5, 9)), (p3, range(3, 6))):
+        n = u.n
+        for k in levels:
+            a, b = (tuple(rng.randint(1, n) for _ in range(k)) for _ in "ab")
+            x = Element.word(n, a, b)
+            assert lambda_apply(u, x) == lambda_reference(u, x)
+            if u is not w_cp:
+                assert matrix_unit_witness(u, k) is None
 
 
 def test_products_of_the_recursion_and_the_unitarity_check_see_ints(monkeypatch):
